@@ -320,7 +320,7 @@ func shardedStream(short string, docs int) *shardedInput {
 
 // ShardedUpdateStreamBench measures aggregate multi-document ingestion
 // through a ShardedStore: ShardedDocs disjoint documents, one writer
-// goroutine per document, batches routed to the owning shard's worker.
+// goroutine per document, each batch applied under its shard's write lock.
 // One benchmark iteration ingests every document's full stream, so
 // ns/op is the aggregate wall-clock of the whole fleet — comparing it
 // across shard counts is the scaling record. Recompression is disabled
@@ -368,7 +368,7 @@ func ShardedUpdateStreamBench(short string, shards, docs int) func(b *testing.B)
 // over the network front-end: a loopback server over a ShardedDocs
 // fleet, the pinned ZipfFleet schedule replayed by ServeConns wire
 // clients (loadgen), every batch a full request/ack round trip through
-// frame codec, shard worker, and back. One benchmark iteration replays
+// frame codec, shard write lock, and back. One benchmark iteration replays
 // the whole schedule, so ns/op is the aggregate wall-clock of the
 // served fleet; the client-observed batch latency distribution is
 // merged across iterations and reported as p50-ns / p99-ns extra

@@ -23,8 +23,8 @@ const connBufSize = 64 << 10
 
 // Default fault-tolerance knobs (see Config). The read/write deadlines
 // are generous — they exist to shed wedged peers, not to police slow
-// ones — and the in-flight cap is far above what the shard workers can
-// absorb, so healthy traffic never notices either.
+// ones — and the in-flight cap is far above the shard count that bounds
+// concurrent applies, so healthy traffic never notices either.
 const (
 	DefaultReadTimeout  = 30 * time.Second
 	DefaultWriteTimeout = 30 * time.Second

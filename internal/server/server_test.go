@@ -85,7 +85,7 @@ func encodedGrammar(t testing.TB, g *grammar.Grammar) []byte {
 // through concurrent wire clients against a served fleet and (b)
 // directly against a ShardedStore must leave byte-identical encoded
 // grammars. Run under -race this also exercises the per-connection
-// goroutines against the shard workers.
+// goroutines against the shard write locks.
 func TestServeDifferential(t *testing.T) {
 	sess := sessions(t, 4, 60)
 

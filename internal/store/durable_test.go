@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datasets"
@@ -497,6 +499,87 @@ func TestClosedFleetIsDeterministic(t *testing.T) {
 	}
 	if err := s.Query("doc-0", func(*grammar.Grammar) error { return nil }); err != nil {
 		t.Fatalf("Query after Close: %v", err)
+	}
+}
+
+// parkInjector passes every WAL file operation through, except that
+// once armed it parks the next one until release is closed: a WAL
+// recovery held at a point the test chooses.
+type parkInjector struct {
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkInjector) Inject(_ wal.FileKind, _ wal.OpKind, b []byte) (int, error) {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.parked)
+		<-p.release
+	}
+	return len(b), nil
+}
+
+// isClosed reports whether Close has run on st.
+func isClosed(st *Store) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.closed
+}
+
+// TestCloseWaitsOutRehydration pins that a fleet Close closes a Store
+// whose rehydration was already in flight when Close began. The evicted
+// document "cold" (shard 1) is rehydrated by Get, and its WAL recovery
+// is parked. Close runs concurrently, and the recovery is released only
+// once Close has closed the resident document "hot" (shard 0), i.e. once
+// Close has moved past it. The handle Get returns must then reject
+// writes: Close closed (and fsynced) its WAL. The ordering is enforced
+// by the park and by the closed flag, not by timing.
+func TestCloseWaitsOutRehydration(t *testing.T) {
+	g0, batches := durWorkload(t, "XM", 20, 5)
+	inj := &parkInjector{parked: make(chan struct{}), release: make(chan struct{})}
+	s := NewSharded(2, durCfg(t.TempDir(), -1, wal.FsyncBatch, inj))
+	hot, cold := idInShard(s, 0, "hot"), idInShard(s, 1, "cold")
+	hotSt, err := s.Open(hot, g0.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Open(cold, g0.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyAll(cold, batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	// No memory budget: nothing evicts but this.
+	s.evictMu.Lock()
+	evicted := s.evictEntry(s.shards[1].docs[cold])
+	s.evictMu.Unlock()
+	if !evicted {
+		t.Fatal("cold document not evicted")
+	}
+
+	inj.armed.Store(true)
+	got := make(chan *Store, 1)
+	go func() {
+		st, _ := s.Get(cold)
+		got <- st
+	}()
+	<-inj.parked
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for !isClosed(hotSt) {
+		runtime.Gosched()
+	}
+	close(inj.release)
+
+	st := <-got
+	if st == nil {
+		t.Fatal("rehydration started before Close was refused")
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ApplyAll(batches[1]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("write through a handle rehydrated during Close: err=%v, want ErrClosed", err)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Sharded is the multi-document serving layer: document IDs are hashed
 // across N shards, each shard owning its documents' Stores plus one
-// worker goroutine that applies that shard's update batches. Updates to
-// documents in different shards therefore never contend — neither on a
-// lock nor on a queue — while reads go straight to the per-document
-// Store's lock-free generation and never touch a worker at all.
+// write lock that serializes that shard's update batches. A batch is
+// applied on the calling goroutine while it holds its shard's lock, so
+// updates to documents in different shards never contend, while reads
+// go straight to the per-document Store's lock-free generation and never
+// touch a shard lock at all.
 //
 // The shard is deliberately the unit of write parallelism AND of write
-// backpressure: one worker per shard bounds the number of grammars
+// backpressure: one lock per shard bounds the number of grammars
 // mutating concurrently to the shard count, whatever the document count,
 // so a fleet of thousands of documents cannot stampede the CPU. Size
 // the shard count to the write parallelism wanted (e.g. GOMAXPROCS);
@@ -14,14 +15,14 @@
 //
 // Combined with per-Store asynchronous recompression (Config.Async),
 // the write path of a shard is never stalled by GrammarRePair either:
-// the worker keeps draining batches while compressions run beside it
-// and swap in under the epoch protocol.
+// writers keep applying batches while compressions run beside them and
+// swap in under the epoch protocol.
 //
 // # Memory tiering
 //
 // With Config.MemoryBudget > 0 the fleet additionally bounds its
 // resident footprint. Every document tracks a last-use clock (bumped by
-// worker batches and direct reads) and a ResidentBytes estimate; when
+// write batches and direct reads) and a ResidentBytes estimate; when
 // the fleet total exceeds the budget, the coldest documents are
 // evicted: an in-memory fleet freezes them to their grammar.Encode
 // bytes (typically 1–2 orders of magnitude smaller than the live
@@ -83,7 +84,7 @@ type Sharded struct {
 	evictFailures atomic.Int64
 	// readChecks rate-limits the read path's over-budget probe: every
 	// readEvictEvery-th resident read runs the maybeEvict check, so a
-	// read-only fleet still converges back under budget (the worker-side
+	// read-only fleet still converges back under budget (the writers'
 	// check only runs at write batch boundaries) without putting the
 	// O(docs) victim scan on every lookup.
 	readChecks atomic.Int64
@@ -102,7 +103,7 @@ type Sharded struct {
 // survives evictions, pointing at the live Store while resident and at
 // the frozen encoded bytes while evicted (durable fleets keep neither —
 // the WAL is the cold copy). mu serializes state transitions
-// (hydrate/evict) and worker writes; reads load st without it.
+// (hydrate/evict/close) and write batches; reads load st without it.
 type docEntry struct {
 	id string
 	mu sync.Mutex
@@ -118,33 +119,31 @@ type docEntry struct {
 	footprint atomic.Int64 // resident-bytes estimate last accounted
 }
 
-// shard is one hash bucket: its documents, and the worker serializing
+// shard is one hash bucket: its documents, and the lock serializing
 // their updates. mu guards only the docs map, so reads never queue
-// behind a writer; the jobs channel has its own send lock — senders
-// hold sendMu.RLock across the (possibly blocking) send and Close takes
-// sendMu.Lock before closing the channel, so a send can never race the
-// close and a blocked sender never delays a reader.
+// behind a writer; writeMu is held for the whole of one write batch.
 type shard struct {
 	mu   sync.RWMutex
 	docs map[string]*docEntry
 
-	sendMu sync.RWMutex
-	jobs   chan shardJob
-	closed bool // guarded by sendMu
+	writeMu sync.Mutex
 }
 
-// shardJob is one update batch handed to a shard worker. seq is the
-// batch's exactly-once sequence number (0 = unsequenced).
-type shardJob struct {
-	e    *docEntry
-	ops  []update.Op
-	seq  uint64
-	done chan<- error
+// entries snapshots the shard's document entries, so callers can take
+// entry locks without holding mu.
+func (sh *shard) entries() []*docEntry {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	entries := make([]*docEntry, 0, len(sh.docs))
+	for _, e := range sh.docs {
+		entries = append(entries, e)
+	}
+	return entries
 }
 
 // NewSharded returns a multi-document store with the given shard count
-// (n <= 0 selects GOMAXPROCS) whose documents all use cfg. One worker
-// goroutine per shard is started; call Close to stop them.
+// (n <= 0 selects GOMAXPROCS) whose documents all use cfg. It starts no
+// goroutines; call Close to close the documents' Stores.
 //
 // With Config.MaxConcurrentRecompressions > 0 (and no explicit Gate)
 // the fleet shares one RecompressGate of that width: however many
@@ -164,9 +163,7 @@ func NewSharded(n int, cfg ...Config) *Sharded {
 	}
 	s := &Sharded{cfg: c, shards: make([]*shard, n)}
 	for i := range s.shards {
-		sh := &shard{docs: make(map[string]*docEntry), jobs: make(chan shardJob)}
-		s.shards[i] = sh
-		go s.work(sh)
+		s.shards[i] = &shard{docs: make(map[string]*docEntry)}
 	}
 	return s
 }
@@ -216,22 +213,10 @@ func OpenSharded(n int, cfg Config) (*Sharded, error) {
 	return s, nil
 }
 
-// work drains one shard's update batches until Close. The over-budget
-// check runs after the ack is sent, so eviction work (encode + close)
-// never sits on a writer's latency.
-func (s *Sharded) work(sh *shard) {
-	for j := range sh.jobs {
-		j.done <- s.applyEntry(j.e, j.ops, j.seq)
-		if s.cfg.MemoryBudget > 0 {
-			s.maybeEvict()
-		}
-	}
-}
-
 // applyEntry applies one batch to a document, rehydrating it first if
 // it was evicted. Holding e.mu across the ApplyAll makes writes
 // eviction-transparent: the evictor's TryLock fails while a batch is in
-// flight, so a worker-path write can never land on a closing Store.
+// flight, so a by-ID write can never land on a closing Store.
 func (s *Sharded) applyEntry(e *docEntry, ops []update.Op, seq uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -382,7 +367,9 @@ func (s *Sharded) evictEntry(e *docEntry) bool {
 	}
 	defer e.mu.Unlock()
 	st := e.st.Load()
-	if st == nil {
+	if st == nil || s.closed.Load() {
+		// Evicted already, or the fleet's Close owns (or owned) this
+		// Store: it stays resident so its final state keeps serving.
 		return false
 	}
 	// Close first: it waits out in-flight background work (async
@@ -443,13 +430,14 @@ func (s *Sharded) shardFor(id string) *shard {
 // previous process are reopened by OpenSharded, not Open.
 func (s *Sharded) Open(id string, g *grammar.Grammar) (*Store, error) {
 	sh := s.shardFor(id)
-	sh.sendMu.RLock()
-	closed := sh.closed
-	sh.sendMu.RUnlock()
-	if closed {
+	sh.mu.Lock()
+	// Checked under sh.mu: Close sets the flag before it walks the docs
+	// map, so a document registered here is either seen (and closed) by
+	// that walk or refused.
+	if s.closed.Load() {
+		sh.mu.Unlock()
 		return nil, ErrClosed
 	}
-	sh.mu.Lock()
 	if _, ok := sh.docs[id]; ok {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("store: document %q already open", id)
@@ -523,17 +511,20 @@ func (s *Sharded) Drop(id string) bool {
 	return ok
 }
 
-// Apply performs one update operation on document id through the shard's
-// worker.
+// Apply performs one update operation on document id under the shard's
+// write lock.
 func (s *Sharded) Apply(id string, op update.Op) error {
 	return s.ApplyAll(id, []update.Op{op})
 }
 
-// ApplyAll performs a batch of operations on document id. Batches are
-// serialized per shard (one worker each) and the call returns when the
-// batch has been applied; batches for documents in different shards run
-// in parallel. An evicted document is rehydrated by the worker before
-// the batch applies — eviction is invisible to writers on this path.
+// ApplyAll performs a batch of operations on document id. The batch is
+// applied on the calling goroutine under its shard's write lock, so
+// batches are serialized per shard while batches for documents in
+// different shards run in parallel; the call returns when the batch has
+// been applied. An evicted document is rehydrated before the batch
+// applies — eviction is invisible to writers on this path. On a
+// budgeted fleet the over-budget check runs after the shard lock is
+// released, so other writers of the shard never wait on an eviction.
 func (s *Sharded) ApplyAll(id string, ops []update.Op) error {
 	return s.ApplyAllSeq(id, ops, 0)
 }
@@ -552,19 +543,20 @@ func (s *Sharded) ApplyAllSeq(id string, ops []update.Op, seq uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownDoc, id)
 	}
-	// The send may block behind the worker's current batch; only sendMu
-	// is held then, so readers (and the docs map) stay available. A doc
-	// dropped between the lookup and the send still receives the batch —
-	// Drop removes it from the registry, it does not cancel its queue.
-	sh.sendMu.RLock()
-	if sh.closed {
-		sh.sendMu.RUnlock()
+	if s.closed.Load() {
 		return fmt.Errorf("%w: %q", ErrClosed, id)
 	}
-	done := make(chan error, 1)
-	sh.jobs <- shardJob{e: e, ops: ops, seq: seq, done: done}
-	sh.sendMu.RUnlock()
-	return <-done
+	// Waiting for the shard lock holds nothing else, so readers (and the
+	// docs map) stay available. A doc dropped between the lookup and the
+	// lock still receives the batch — Drop removes it from the registry,
+	// it does not cancel writes already routed to it.
+	sh.writeMu.Lock()
+	err := s.applyEntry(e, ops, seq)
+	sh.writeMu.Unlock()
+	if s.cfg.MemoryBudget > 0 {
+		s.maybeEvict()
+	}
+	return err
 }
 
 // LastSeq returns document id's exactly-once watermark (see
@@ -688,28 +680,28 @@ func (s *Sharded) Quiesce() {
 	}
 }
 
-// Close stops the shard workers and closes every resident document
-// Store: pending background work (asynchronous recompressions, snapshot
-// publication) completes, and on a durable fleet each document's WAL
-// tail is fsynced and closed — a clean Close loses nothing even under
-// FsyncOff. Writes after Close fail with ErrClosed deterministically;
-// reads keep working on the final state of resident documents (evicted
-// documents no longer rehydrate). Close is idempotent and returns the
-// first per-document close error.
+// Close closes every resident document Store: pending background work
+// (asynchronous recompressions, snapshot publication) completes, and on
+// a durable fleet each document's WAL tail is fsynced and closed — a
+// clean Close loses nothing even under FsyncOff. Close takes each
+// document's entry lock before closing its Store, so it waits out a
+// write batch or rehydration in flight and closes whatever Store that
+// left resident. Writes after Close fail with ErrClosed
+// deterministically; reads keep working on the final state of resident
+// documents (evicted documents no longer rehydrate). Close is
+// idempotent and returns the first per-document close error.
 func (s *Sharded) Close() error {
 	s.closed.Store(true)
-	for _, sh := range s.shards {
-		sh.sendMu.Lock()
-		if !sh.closed {
-			sh.closed = true
-			close(sh.jobs)
-		}
-		sh.sendMu.Unlock()
-	}
 	var err error
-	for _, st := range s.residentStores() {
-		if cerr := st.Close(); err == nil {
-			err = cerr
+	for _, sh := range s.shards {
+		for _, e := range sh.entries() {
+			e.mu.Lock()
+			if st := e.st.Load(); st != nil {
+				if cerr := st.Close(); err == nil {
+					err = cerr
+				}
+			}
+			e.mu.Unlock()
 		}
 	}
 	return err
@@ -816,13 +808,7 @@ func (s *Sharded) Stats() ShardedStats {
 	out.Hydrations = s.hydrations.Load()
 	out.EvictFailures = s.evictFailures.Load()
 	for _, sh := range s.shards {
-		sh.mu.RLock()
-		entries := make([]*docEntry, 0, len(sh.docs))
-		for _, e := range sh.docs {
-			entries = append(entries, e)
-		}
-		sh.mu.RUnlock()
-		for _, e := range entries {
+		for _, e := range sh.entries() {
 			out.Docs++
 			st := e.st.Load()
 			if st == nil {

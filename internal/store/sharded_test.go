@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/grammar"
 	"repro/internal/treerepair"
@@ -84,7 +87,7 @@ func replaySequential(t *testing.T, fx *docFixture, cfg Config, batch int) []byt
 // is synchronous here so the per-document grammar evolution is a pure
 // function of its op stream — any byte difference is cross-document
 // interference. Run under -race this also pins the locking discipline
-// of the shard workers.
+// of the shard write locks.
 func TestShardedDifferentialConcurrency(t *testing.T) {
 	const (
 		nDocs  = 6
@@ -292,5 +295,91 @@ func TestShardedLifecycle(t *testing.T) {
 	ss.Close() // idempotent
 	if _, err := ss.Open("late", g.Clone()); err == nil {
 		t.Fatal("open after close must fail")
+	}
+}
+
+// idInShard returns the first "<prefix>-<n>" document ID that s hashes
+// to shard k.
+func idInShard(s *Sharded, k int, prefix string) string {
+	for n := 0; ; n++ {
+		if id := fmt.Sprintf("%s-%d", prefix, n); s.shardFor(id) == s.shards[k] {
+			return id
+		}
+	}
+}
+
+// TestShardWriteSerialization pins the write-concurrency contract of
+// the shard: while one document's batch is held inside its apply, a
+// batch for a document in another shard completes, and a batch for
+// another document of the held document's shard does not apply until
+// the held batch is released. Every batch recompresses synchronously,
+// so the held batch parks in its Store's compress hook.
+func TestShardWriteSerialization(t *testing.T) {
+	docs := shardedFixtures(t, 3, 10)
+	ss := NewSharded(2, Config{Ratio: 0.01, MinSize: 1})
+	defer ss.Close()
+	ids := []string{idInShard(ss, 0, "held"), idInShard(ss, 0, "same"), idInShard(ss, 1, "other")}
+	sts := make([]*Store, len(ids))
+	for i, id := range ids {
+		st, err := ss.Open(id, docs[i].g0.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts[i] = st
+	}
+	apply := func(i int) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- ss.ApplyAll(ids[i], docs[i].ops[:5]) }()
+		return done
+	}
+
+	ga := newGate(1)
+	ga.install(sts[0])
+	var released, early atomic.Bool
+	// Deferred after ss.Close, so it runs first: a failing test must not
+	// leave Close waiting on the parked batch.
+	release := sync.OnceFunc(func() {
+		released.Store(true)
+		close(ga.release)
+	})
+	defer release()
+	inner := sts[1].compress
+	sts[1].compress = func(g *grammar.Grammar, o core.Options) (*grammar.Grammar, *core.Stats) {
+		if !released.Load() {
+			early.Store(true)
+		}
+		return inner(g, o)
+	}
+
+	heldDone := apply(0)
+	<-ga.entered
+
+	select {
+	case err := <-apply(2):
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a batch in another shard waited on the held batch")
+	}
+
+	// Give a broken serialization a window to show itself; on a correct
+	// one the same-shard batch is parked on the shard lock throughout,
+	// and the hook above records any apply that starts before release.
+	sameDone := apply(1)
+	select {
+	case err := <-sameDone:
+		t.Fatalf("same-shard batch completed while the held batch was parked (err=%v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	if err := <-heldDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sameDone; err != nil {
+		t.Fatal(err)
+	}
+	if early.Load() {
+		t.Fatal("same-shard batch applied while the held batch was parked")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/grammar"
 	"repro/internal/treerepair"
@@ -448,20 +447,14 @@ func TestEvictedHandleSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Any write batch triggers eviction of every idle document —
-	// including this one, right after its ack. The eviction runs on the
-	// shard worker after the ack, so poll for it.
+	// including this one, once the batch releases its locks. The writer
+	// runs that eviction itself before Apply returns (no other evictor
+	// holds evictMu here), so it has happened by the time Apply acks.
 	if err := ss.Apply("doc", update.Op{Kind: update.Rename, Pos: 1, Label: "z"}); err != nil {
 		t.Fatal(err)
 	}
-	evicted := false
-	for i := 0; i < 2000 && !evicted; i++ {
-		evicted = ss.Stats().Evicted == 1
-		if !evicted {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if !evicted {
-		t.Fatal("document never evicted under budget 1")
+	if n := ss.Stats().Evicted; n != 1 {
+		t.Fatalf("%d documents evicted under budget 1, want 1", n)
 	}
 	preEvict := encodeBytes(t, handle.Snapshot())
 	if err := handle.Apply(update.Op{Kind: update.Rename, Pos: 1, Label: "w"}); !errors.Is(err, ErrClosed) {

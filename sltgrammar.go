@@ -103,9 +103,10 @@ type (
 	// StoreStats is a snapshot of a Store's counters.
 	StoreStats = store.Stats
 	// ShardedStore serves many documents at once: IDs are hashed across
-	// shards, each shard owning its documents' Stores plus one worker
-	// applying that shard's update batches, so updates to documents in
-	// different shards never contend. With StoreConfig.MemoryBudget set,
+	// shards, each shard owning its documents' Stores plus one write
+	// lock that serializes that shard's update batches (applied on the
+	// caller's goroutine), so updates to documents in different shards
+	// never contend. With StoreConfig.MemoryBudget set,
 	// the fleet runs memory-tiered: when resident bytes exceed the
 	// budget, cold documents (LRU by last write or read) evict to their
 	// encoded grammar bytes — or, durably, to disk alone — and
@@ -196,8 +197,8 @@ func NewStore(g *Grammar, cfg ...StoreConfig) *Store { return store.New(g, cfg..
 
 // NewShardedStore returns a multi-document store with the given shard
 // count (shards <= 0 selects GOMAXPROCS); every document opened in it
-// uses cfg. Open registers documents, ApplyAll routes update batches to
-// the owning shard's worker, Get serves reads. cfg.MemoryBudget > 0
+// uses cfg. Open registers documents, ApplyAll applies update batches
+// under the owning shard's write lock, Get serves reads. cfg.MemoryBudget > 0
 // bounds the fleet's resident bytes by evicting cold documents to
 // their encoded form (they rehydrate on access). Call Close when done
 // ingesting (and Quiesce first when asynchronous recompressions must
