@@ -48,11 +48,11 @@ func TestRetrieveOccsGrammar1(t *testing.T) {
 	ix := newOccIndex(g, 4)
 
 	dab := digram.Digram{A: a, I: 1, B: b}
-	if got := ix.live(dab); got != 2 {
+	if got := ix.queue.Count(dab); got != 2 {
 		t.Fatalf("count(a,1,b) = %v, want 2", got)
 	}
 	daa := digram.Digram{A: a, I: 2, B: a}
-	if got := ix.live(daa); got != 1 {
+	if got := ix.queue.Count(daa); got != 1 {
 		t.Fatalf("count(a,2,a) = %v, want 1 (overlap must be excluded)", got)
 	}
 	// Generators live in the expected rules.
@@ -114,7 +114,7 @@ func TestReplaceRoundGrammar1(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("optimized=%v: invalid after replacement: %v\n%s", optimized, err, g)
 		}
-		if got := ix.live(d); got != 0 {
+		if got := ix.queue.Count(d); got != 0 {
 			t.Fatalf("optimized=%v: count(a,1,b) = %v after replacement", optimized, got)
 		}
 		if r.replaced != 2 {

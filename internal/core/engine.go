@@ -53,7 +53,7 @@ func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
 	extraEdges := 0 // Σ edges of the (conceptual) X → t_X rules
 
 	for {
-		d, _, ok := ix.best()
+		d, _, ok := ix.queue.Best()
 		if !ok {
 			break
 		}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/digram"
 	"repro/internal/grammar"
@@ -10,9 +10,9 @@ import (
 
 // usageCap saturates usage counts: exponentially compressing grammars
 // generate trees with astronomically many nodes, and only the ordering of
-// frequencies matters. Using a large finite cap (instead of +Inf) keeps
-// count deltas well-defined.
-const usageCap = 1e300
+// frequencies matters. It is the digram queue's count cap, so a usage
+// weight never exceeds what a count can hold.
+const usageCap = digram.MaxCount
 
 // parentRef records the in-rule parent of a parameter node: the node and
 // the 0-based child index the parameter occupies.
@@ -26,10 +26,16 @@ type parentRef struct {
 // a per-rule Go map.
 type ruleOccs struct {
 	gens         digram.Table[[]*xmltree.Node] // occurrence generators by digram
-	calls        map[int32]int                 // callee rule -> #occurrences
+	calls        []call                        // callees, ascending by rule ID
 	nodes        int                           // node count of the RHS
 	paramParents []parentRef                   // local parent of y1..yk
 	usageApplied float64                       // usage weight its gens contribute with
+}
+
+// call is one distinct callee of a rule and its number of call sites.
+type call struct {
+	rule int32
+	n    int
 }
 
 // resolved is a fully resolved tree parent or tree child: the terminal
@@ -68,18 +74,19 @@ func (a *iface) equal(b *iface) bool {
 // occIndex maintains, incrementally across replacement rounds, the
 // Algorithm 4 (RETRIEVEOCCS) state: per-rule digram occurrence generators,
 // usage-weighted global frequencies, and the non-overlap bookkeeping for
-// equal-label digrams. Global counts and the equal-label sets are keyed by
-// packed digram keys in open-addressed tables; all per-rule state lives in
+// equal-label digrams. The global frequencies live in the digram queue,
+// which is their only copy; the equal-label sets are keyed by packed
+// digram keys in an open-addressed table. All per-rule state lives in
 // dense rule-ID-indexed slices (rule IDs are dense and never reused), so
-// the refresh path does no hashing at all.
+// per-rule lookups on the refresh path do no hashing.
 type occIndex struct {
 	g       *grammar.Grammar
 	maxRank int
 
-	perRule []*ruleOccs // by rule ID; nil = deleted / never seen
-	counts  digram.Table[float64]
-	usage   []float64 // by rule ID
-	queue   digram.Queue
+	perRule []*ruleOccs  // by rule ID; nil = deleted / never seen
+	usage   []float64    // by rule ID
+	queue   digram.Queue // usage-weighted global frequency of every digram
+	callBuf []int32      // rebuildLocal scratch: callee IDs of one rule
 	// genSet holds, per equal-label digram, the set of stored generator
 	// nodes (all of which are terminal tree children); a candidate whose
 	// resolved tree parent is in this set would overlap (Alg. 4 line 11).
@@ -114,17 +121,6 @@ func (ix *occIndex) grow() {
 	ix.changed = grammar.GrowTo(ix.changed, n)
 	ix.dirty = grammar.GrowTo(ix.dirty, n)
 	ix.topoState = grammar.GrowTo(ix.topoState, n)
-}
-
-// live reports the current frequency of d (for the priority queue).
-func (ix *occIndex) live(d digram.Digram) float64 {
-	c, _ := ix.counts.Get(d.Key())
-	return c
-}
-
-// best pops the most frequent digram with ≥ 2 occurrences.
-func (ix *occIndex) best() (digram.Digram, float64, bool) {
-	return ix.queue.PopBest(ix.live)
 }
 
 // rulesWithGenerators returns the IDs of rules holding generators of d,
@@ -213,8 +209,8 @@ func (ix *occIndex) refresh(edited []int32, deleted []int32) {
 			if ro == nil || dirty[rid] {
 				continue
 			}
-			for callee := range ro.calls {
-				if changed[callee] {
+			for _, c := range ro.calls {
+				if changed[c.rule] {
 					dirty[rid] = true
 					break
 				}
@@ -260,19 +256,9 @@ func (ix *occIndex) dropContributions(rid int32) {
 }
 
 func (ix *occIndex) addCount(d digram.Digram, delta float64) {
-	if delta == 0 {
-		return
+	if delta != 0 {
+		ix.queue.Add(d, delta)
 	}
-	p := ix.counts.Ref(d.Key())
-	c := *p + delta
-	if c > usageCap {
-		c = usageCap
-	}
-	if c <= 1e-9 {
-		c = 0
-	}
-	*p = c
-	ix.queue.Update(d, c)
 }
 
 // rebuildLocal re-derives the structural caches of one rule.
@@ -283,11 +269,7 @@ func (ix *occIndex) rebuildLocal(rid int32) {
 		ro = &ruleOccs{}
 		ix.perRule[rid] = ro
 	}
-	if ro.calls == nil {
-		ro.calls = make(map[int32]int)
-	} else {
-		clear(ro.calls)
-	}
+	callees := ix.callBuf[:0]
 	ro.paramParents = ro.paramParents[:0]
 	for i := 0; i < r.Rank; i++ {
 		ro.paramParents = append(ro.paramParents, parentRef{})
@@ -297,12 +279,24 @@ func (ix *occIndex) rebuildLocal(rid int32) {
 		ro.nodes++
 		switch n.Label.Kind {
 		case xmltree.Nonterminal:
-			ro.calls[n.Label.ID]++
+			callees = append(callees, n.Label.ID)
 		case xmltree.Parameter:
 			ro.paramParents[n.Label.ID-1] = parentRef{node: p, idx: i}
 		}
 		return true
 	})
+	// Sort once here so topoAntiSL visits callees in ID order every round
+	// without re-sorting.
+	slices.Sort(callees)
+	ro.calls = ro.calls[:0]
+	for i, c := range callees {
+		if i > 0 && c == callees[i-1] {
+			ro.calls[len(ro.calls)-1].n++
+		} else {
+			ro.calls = append(ro.calls, call{rule: c, n: 1})
+		}
+	}
+	ix.callBuf = callees
 }
 
 // computeIface resolves the rule's root chain and parameter parents to
@@ -417,9 +411,9 @@ func (ix *occIndex) rescanGenerators(rid int32) {
 	})
 }
 
-// topoAntiSL orders live rules callee-before-caller using the cached call
-// multisets (cheaper than re-walking every RHS). The returned slice is
-// reused by the next call.
+// topoAntiSL orders live rules callee-before-caller using the cached
+// sorted callee lists (cheaper than re-walking every RHS). The returned
+// slice is reused by the next call.
 func (ix *occIndex) topoAntiSL() []int32 {
 	ids := ix.g.RuleIDs()
 	state := ix.topoState
@@ -431,13 +425,8 @@ func (ix *occIndex) topoAntiSL() []int32 {
 			return
 		}
 		state[id] = 1
-		callees := make([]int32, 0, len(ix.perRule[id].calls))
-		for c := range ix.perRule[id].calls {
-			callees = append(callees, c)
-		}
-		sort.Slice(callees, func(i, j int) bool { return callees[i] < callees[j] })
-		for _, c := range callees {
-			visit(c)
+		for _, c := range ix.perRule[id].calls {
+			visit(c.rule)
 		}
 		state[id] = 2
 		out = append(out, id)
@@ -449,8 +438,8 @@ func (ix *occIndex) topoAntiSL() []int32 {
 	return out
 }
 
-// refreshUsage recomputes usage_G for all rules from the call multisets
-// and adjusts every affected digram count by the usage delta.
+// refreshUsage recomputes usage_G for all rules from the callee lists and
+// adjusts every affected digram count by the usage delta.
 func (ix *occIndex) refreshUsage(antiSL []int32) {
 	newUsage := ix.usage
 	clear(newUsage)
@@ -462,12 +451,12 @@ func (ix *occIndex) refreshUsage(antiSL []int32) {
 		if u == 0 {
 			continue
 		}
-		for callee, cnt := range ix.perRule[rid].calls {
-			nu := newUsage[callee] + u*float64(cnt)
+		for _, c := range ix.perRule[rid].calls {
+			nu := newUsage[c.rule] + u*float64(c.n)
 			if nu > usageCap {
 				nu = usageCap
 			}
-			newUsage[callee] = nu
+			newUsage[c.rule] = nu
 		}
 	}
 	for _, rid := range antiSL {

@@ -68,8 +68,8 @@ func TestGrammar2MultipleVersions(t *testing.T) {
 
 	ix := newOccIndex(g, 4)
 	d := digram.Digram{A: a, I: 1, B: b}
-	if ix.live(d) < 4 {
-		t.Fatalf("count(a,1,b) = %v, want several occurrences", ix.live(d))
+	if ix.queue.Count(d) < 4 {
+		t.Fatalf("count(a,1,b) = %v, want several occurrences", ix.queue.Count(d))
 	}
 	x := g.Syms.Fresh("X", 3)
 	r := newReplacer(g, ix, newScratch(), d, x, true)

@@ -1,7 +1,7 @@
 // Package digram provides the digram model shared by TreeRePair and
 // GrammarRePair: the digram triple (a, i, b) of Section II, the pattern
-// tree t_X that a replacement rule's right-hand side takes, and a
-// max-priority queue over digram frequencies with lazy invalidation.
+// tree t_X that a replacement rule's right-hand side takes, and Queue, the
+// exact indexed max-heap that holds every digram's current frequency.
 package digram
 
 import "repro/internal/xmltree"

@@ -86,26 +86,18 @@ func TestEqualLabelsAndLess(t *testing.T) {
 
 func TestQueueBasic(t *testing.T) {
 	var q Queue
-	counts := map[Digram]float64{}
-	set := func(d Digram, c float64) {
-		counts[d] = c
-		q.Update(d, c)
-	}
-	live := func(d Digram) float64 { return counts[d] }
-
 	d1 := Digram{A: 1, I: 1, B: 2}
 	d2 := Digram{A: 2, I: 1, B: 3}
-	set(d1, 5)
-	set(d2, 9)
-	d, c, ok := q.PopBest(live)
+	q.Update(d1, 5)
+	q.Update(d2, 9)
+	d, c, ok := q.Best()
 	if !ok || d != d2 || c != 9 {
 		t.Fatalf("best = %v/%v, want d2/9", d, c)
 	}
-	// d2's count changed after the entry was queued: stale entries skipped.
-	set(d2, 9) // re-add
-	counts[d2] = 3
+	// d2's count changed after it was queued: its entry moves down.
+	q.Update(d2, 9) // same count: the entry stays put
 	q.Update(d2, 3)
-	d, c, ok = q.PopBest(live)
+	d, c, ok = q.Best()
 	if !ok || d != d1 || c != 5 {
 		t.Fatalf("best = %v/%v, want d1/5", d, c)
 	}
@@ -115,7 +107,7 @@ func TestQueueCountBelowTwo(t *testing.T) {
 	var q Queue
 	d := Digram{A: 1, I: 1, B: 2}
 	q.Update(d, 1)
-	if _, _, ok := q.PopBest(func(Digram) float64 { return 1 }); ok {
+	if _, _, ok := q.Best(); ok {
 		t.Fatal("count 1 must never be selected")
 	}
 }
@@ -126,8 +118,7 @@ func TestQueueDeterministicTieBreak(t *testing.T) {
 	d2 := Digram{A: 1, I: 1, B: 2}
 	q.Update(d1, 4)
 	q.Update(d2, 4)
-	live := func(Digram) float64 { return 4 }
-	d, _, ok := q.PopBest(live)
+	d, _, ok := q.Best()
 	if !ok || d != d2 {
 		t.Fatalf("tie must break to lexicographically smaller digram, got %v", d)
 	}

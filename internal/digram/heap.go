@@ -1,105 +1,186 @@
 package digram
 
-// Queue is a max-priority queue of digram frequencies with lazy
-// invalidation: every frequency change pushes a fresh entry, and stale
-// entries (whose recorded count no longer matches the live count supplied
-// at pop time) are discarded. This is the standard trick for RePair-style
-// compressors whose counts change by small deltas on every replacement.
+// MaxCount saturates queue counts. GrammarRePair weights generators by
+// rule usage, which grows exponentially on highly compressible grammars;
+// only the order of frequencies matters, and a large finite cap (instead
+// of +Inf) keeps count deltas well-defined.
+const MaxCount = 1e300
+
+// zeroCount is the residue below which an Add result counts as 0:
+// subtracting usage-weighted contributions in a different order than they
+// were added can leave tiny positive float remainders.
+const zeroCount = 1e-9
+
+// Queue holds the current frequency of every digram and orders the
+// digrams by it. It is an exact indexed max-heap: the heap holds one entry
+// per digram whose count is > 0, and a count change moves that entry in
+// place instead of pushing a new one.
 //
-// The heap is hand-rolled over a concrete entry slice rather than
-// container/heap: the interface-based API boxes every pushed and popped
-// element into an allocation, and Update/PopBest sit on the hottest
-// compressor path.
+// Every digram the queue has seen gets a dense slot ID through one flat
+// Table lookup; the slot holds the digram's count and its heap position,
+// and the heap itself is a slice of slot IDs. A count change therefore
+// costs one hash, and sift swaps fix positions by slot ID without hashing.
+// Slots are never freed: a digram whose count drops to 0 leaves the heap
+// but keeps its slot, so re-inserting it costs no allocation.
 //
-// Frequencies are float64 because GrammarRePair weights generators by rule
-// usage counts, which grow exponentially on highly compressible grammars.
-// Ties are broken by lexicographic digram order so compression runs are
-// deterministic.
+// Order is count descending, then Key ascending (which equals Digram.Less),
+// so compression runs are deterministic. Counts are float64 because
+// GrammarRePair weights generators by rule usage counts.
+//
+// The zero Queue is ready to use.
 type Queue struct {
-	h []entry
+	ids   Table[int32] // Key -> slot ID + 1 (0 = no slot yet)
+	slots []slot
+	heap  []int32 // slot IDs
 }
 
-type entry struct {
+type slot struct {
+	key   Key
 	count float64
-	d     Digram
+	pos   int32 // index in heap; -1 while the count is 0
 }
 
-// less orders entries max-first by count, then by digram order.
-func (q *Queue) less(i, j int) bool {
-	if q.h[i].count != q.h[j].count {
-		return q.h[i].count > q.h[j].count
+// Update sets the frequency of d. A count ≤ 0 removes d from the heap.
+func (q *Queue) Update(d Digram, count float64) {
+	q.set(q.slotOf(d.Key()), count)
+}
+
+// Add changes the frequency of d by delta. The result saturates at
+// MaxCount, and a result ≤ 1e-9 (float residue of removed contributions)
+// becomes 0, which removes d from the heap.
+func (q *Queue) Add(d Digram, delta float64) {
+	id := q.slotOf(d.Key())
+	c := q.slots[id].count + delta
+	if c > MaxCount {
+		c = MaxCount
 	}
-	return q.h[i].d.Less(q.h[j].d)
+	if c <= zeroCount {
+		c = 0
+	}
+	q.set(id, c)
+}
+
+// Count returns the current frequency of d (0 if absent).
+func (q *Queue) Count(d Digram) float64 {
+	id, _ := q.ids.Get(d.Key())
+	if id == 0 {
+		return 0
+	}
+	return q.slots[id-1].count
+}
+
+// Best returns the digram with the highest frequency, provided that
+// frequency is ≥ 2; ok=false means no such digram is left. The digram
+// stays queued: the compressors replace it, and the replacement itself
+// lowers its count.
+func (q *Queue) Best() (d Digram, count float64, ok bool) {
+	if len(q.heap) == 0 {
+		return Digram{}, 0, false
+	}
+	s := &q.slots[q.heap[0]]
+	if s.count < 2 {
+		return Digram{}, 0, false
+	}
+	return s.key.Digram(), s.count, true
+}
+
+// Len returns the number of digrams whose count is > 0.
+func (q *Queue) Len() int { return len(q.heap) }
+
+// Reset empties the queue, keeping its capacity.
+func (q *Queue) Reset() {
+	q.ids.Clear()
+	q.slots = q.slots[:0]
+	q.heap = q.heap[:0]
+}
+
+// slotOf returns k's slot ID, creating an empty slot on first sight.
+func (q *Queue) slotOf(k Key) int32 {
+	p := q.ids.Ref(k)
+	if *p == 0 {
+		q.slots = append(q.slots, slot{key: k, pos: -1})
+		*p = int32(len(q.slots))
+	}
+	return *p - 1
+}
+
+// set stores a new count in slot id and restores the heap order.
+func (q *Queue) set(id int32, c float64) {
+	s := &q.slots[id]
+	old := s.count
+	s.count = c
+	switch i := int(s.pos); {
+	case i < 0:
+		if c > 0 {
+			s.pos = int32(len(q.heap))
+			q.heap = append(q.heap, id)
+			q.up(len(q.heap) - 1)
+		}
+	case c <= 0:
+		q.remove(i)
+	case c > old:
+		q.up(i)
+	case c < old:
+		q.down(i)
+	}
+}
+
+// remove deletes the heap entry at position i.
+func (q *Queue) remove(i int) {
+	n := len(q.heap) - 1
+	q.slots[q.heap[i]].pos = -1
+	if i != n {
+		q.heap[i] = q.heap[n]
+		q.slots[q.heap[i]].pos = int32(i)
+	}
+	q.heap = q.heap[:n]
+	if i != n {
+		// The moved entry may belong above or below position i.
+		q.down(i)
+		q.up(i)
+	}
+}
+
+// before orders heap positions: count descending, then key ascending.
+func (q *Queue) before(i, j int) bool {
+	a, b := &q.slots[q.heap[i]], &q.slots[q.heap[j]]
+	if a.count != b.count {
+		return a.count > b.count
+	}
+	return a.key < b.key
+}
+
+func (q *Queue) swap(i, j int) {
+	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
+	q.slots[q.heap[i]].pos = int32(i)
+	q.slots[q.heap[j]].pos = int32(j)
 }
 
 func (q *Queue) up(j int) {
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !q.less(j, i) {
+		if !q.before(j, i) {
 			break
 		}
-		q.h[i], q.h[j] = q.h[j], q.h[i]
+		q.swap(i, j)
 		j = i
 	}
 }
 
-func (q *Queue) down(i0, n int) {
-	i := i0
+func (q *Queue) down(i int) {
+	n := len(q.heap)
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+		if j2 := j + 1; j2 < n && q.before(j2, j) {
 			j = j2
 		}
-		if !q.less(j, i) {
+		if !q.before(j, i) {
 			break
 		}
-		q.h[i], q.h[j] = q.h[j], q.h[i]
+		q.swap(i, j)
 		i = j
 	}
 }
-
-// Update records a new frequency for d. Call it after every change,
-// including decreases; older entries become stale automatically.
-func (q *Queue) Update(d Digram, count float64) {
-	q.h = append(q.h, entry{count: count, d: d})
-	q.up(len(q.h) - 1)
-}
-
-// pop removes and returns the best entry.
-func (q *Queue) pop() entry {
-	n := len(q.h) - 1
-	q.h[0], q.h[n] = q.h[n], q.h[0]
-	q.down(0, n)
-	e := q.h[n]
-	q.h = q.h[:n]
-	return e
-}
-
-// PopBest returns the digram with the highest live frequency ≥ 2.
-// live reports the current frequency of a digram (0 if gone). Entries
-// whose recorded count differs from the live count are discarded.
-// Returns ok=false when no digram with live frequency ≥ 2 remains.
-func (q *Queue) PopBest(live func(Digram) float64) (Digram, float64, bool) {
-	for len(q.h) > 0 {
-		e := q.pop()
-		cur := live(e.d)
-		if cur != e.count {
-			continue // stale
-		}
-		if cur < 2 {
-			continue
-		}
-		return e.d, cur, true
-	}
-	return Digram{}, 0, false
-}
-
-// Len returns the number of (possibly stale) queued entries.
-func (q *Queue) Len() int { return len(q.h) }
-
-// Reset empties the queue.
-func (q *Queue) Reset() { q.h = q.h[:0] }

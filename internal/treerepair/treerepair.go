@@ -57,7 +57,7 @@ func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*gr
 	e := newEngine(st.Clone(), root, opt.maxRank())
 	e.buildOccurrences()
 	for {
-		d, _, ok := e.queue.PopBest(e.liveCount)
+		d, _, ok := e.queue.Best()
 		if !ok {
 			break
 		}
@@ -164,7 +164,7 @@ type engine struct {
 	maxRank int
 
 	occs  digram.Table[[]int32] // packed digram key -> stored parent indices
-	queue digram.Queue
+	queue digram.Queue          // each digram's occurrence-list length
 	rules []madeRule
 	snap  []int32 // reusable replacement snapshot
 
@@ -202,11 +202,6 @@ func (e *engine) convert(n *xmltree.Node, parent, idx int32) int32 {
 		}
 	}
 	return id
-}
-
-func (e *engine) liveCount(d digram.Digram) float64 {
-	s, _ := e.occs.Get(d.Key())
-	return float64(len(s))
 }
 
 // tracked reports whether occurrences of d are worth tracking: only

@@ -225,8 +225,8 @@ func TestIntrusiveOccBookkeeping(t *testing.T) {
 	e.buildOccurrences()
 
 	d := digram.Digram{A: a, I: 1, B: b}
-	if got := e.liveCount(d); got != 2 {
-		t.Fatalf("liveCount(%v) = %v, want 2", d, got)
+	if got := e.queue.Count(d); got != 2 {
+		t.Fatalf("queue.Count(%v) = %v, want 2", d, got)
 	}
 	root := e.arena.at(e.root)
 	if !e.stored(root, d) {
@@ -239,7 +239,7 @@ func TestIntrusiveOccBookkeeping(t *testing.T) {
 	// Double-add must be a no-op.
 	churn := e.churn
 	e.tryAdd(e.root, d)
-	if e.churn != churn || e.liveCount(d) != 2 {
+	if e.churn != churn || e.queue.Count(d) != 2 {
 		t.Fatal("duplicate add must not change state")
 	}
 	// Remove root's occurrence; the swapped-in survivor keeps a correct
@@ -248,11 +248,11 @@ func TestIntrusiveOccBookkeeping(t *testing.T) {
 	if e.stored(root, d) {
 		t.Fatal("root still stored after remove")
 	}
-	if e.liveCount(d) != 1 || !e.stored(e.arena.at(inner), d) {
+	if e.queue.Count(d) != 1 || !e.stored(e.arena.at(inner), d) {
 		t.Fatal("survivor lost after swap-delete")
 	}
 	e.removeOcc(e.root, d) // second remove is a no-op
-	if e.liveCount(d) != 1 {
+	if e.queue.Count(d) != 1 {
 		t.Fatal("double remove changed state")
 	}
 }
