@@ -21,15 +21,13 @@ import (
 // syscall each way.
 const connBufSize = 64 << 10
 
-// Default fault-tolerance knobs (see Config). The read/write deadlines
-// are generous — they exist to shed wedged peers, not to police slow
-// ones — and the in-flight cap is far above the shard count that bounds
-// concurrent applies, so healthy traffic never notices either.
+// Default deadlines (see Config). They are generous — they exist to
+// shed wedged peers, not to police slow ones — so healthy traffic never
+// notices them.
 const (
 	DefaultReadTimeout  = 30 * time.Second
 	DefaultWriteTimeout = 30 * time.Second
 	DefaultIdleTimeout  = 2 * time.Minute
-	DefaultMaxInFlight  = 256
 )
 
 // maxResponsePayload bounds a single response payload. It equals
@@ -37,9 +35,8 @@ const (
 // path without building a 64 MiB grammar.
 var maxResponsePayload = MaxFramePayload
 
-// Config tunes the server's fault-tolerance behavior. The zero value
-// selects the defaults above; a negative duration or count disables
-// that limit entirely.
+// Config tunes the server's deadlines. The zero value selects the
+// defaults above; a negative duration disables that limit entirely.
 type Config struct {
 	// ReadTimeout bounds reading one request frame once its first byte
 	// has arrived. A peer that tears a frame and stalls mid-payload is
@@ -51,11 +48,6 @@ type Config struct {
 	// IdleTimeout bounds the wait for the NEXT request's first byte.
 	// Idle connections past it are closed; clients reconnect.
 	IdleTimeout time.Duration
-	// MaxInFlight caps concurrently dispatched requests across all
-	// connections — backpressure: excess requests wait in the accept
-	// order of their connection goroutines instead of piling onto the
-	// store.
-	MaxInFlight int
 }
 
 func (c Config) withDefaults() Config {
@@ -67,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = DefaultIdleTimeout
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = DefaultMaxInFlight
 	}
 	return c
 }
@@ -84,16 +73,14 @@ func (c Config) withDefaults() Config {
 // and the connection keeps serving.
 //
 // The server is fault-tolerant by construction: per-connection read,
-// write, and idle deadlines shed wedged peers (never failing open), a
-// bounded in-flight cap backpressures bursts, and Drain performs a
-// graceful handoff — stop accepting, tell idle clients to go away,
-// let in-flight batches finish and flush, force-sync the WAL tails so
-// every acked write is durable, then close.
+// write, and idle deadlines shed wedged peers (never failing open), and
+// Drain performs a graceful handoff — stop accepting, tell idle
+// clients to go away, let in-flight batches finish and flush,
+// force-sync the WAL tails so every acked write is durable, then close.
 type Server struct {
 	ln  net.Listener
 	ss  *store.Sharded
 	cfg Config
-	sem chan struct{} // in-flight cap, nil = unlimited
 
 	mu       sync.Mutex
 	conns    map[*srvConn]struct{}
@@ -131,11 +118,13 @@ func (sc *srvConn) sendGoAwayLocked(writeTimeout time.Duration) {
 }
 
 // Serve starts serving ss on ln and returns immediately; the returned
-// Server owns the listener. An optional Config tunes deadlines and the
-// in-flight cap (zero values select defaults). Close stops accepting,
-// closes every live connection, and waits for the per-connection
-// goroutines to drain (it does not close ss — the store outlives its
-// front-end).
+// Server owns the listener. An optional Config tunes the deadlines
+// (zero values select defaults). Backpressure comes from the store:
+// each connection dispatches one request at a time, and the per-shard
+// write lock bounds how many batches mutate at once. Close stops
+// accepting, closes every live connection, and waits for the
+// per-connection goroutines to drain (it does not close ss — the store
+// outlives its front-end).
 func Serve(ln net.Listener, ss *store.Sharded, cfg ...Config) *Server {
 	var c Config
 	if len(cfg) > 0 {
@@ -143,9 +132,6 @@ func Serve(ln net.Listener, ss *store.Sharded, cfg ...Config) *Server {
 	}
 	c = c.withDefaults()
 	s := &Server{ln: ln, ss: ss, cfg: c, conns: make(map[*srvConn]struct{})}
-	if c.MaxInFlight > 0 {
-		s.sem = make(chan struct{}, c.MaxInFlight)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -321,13 +307,7 @@ func (s *Server) handle(sc *srvConn) {
 		if err != nil {
 			return // malformed request: protocol defect, not an app error
 		}
-		if s.sem != nil {
-			s.sem <- struct{}{}
-		}
 		out = s.dispatch(req, out[:0], &snap)
-		if s.sem != nil {
-			<-s.sem
-		}
 
 		sc.mu.Lock()
 		if s.cfg.WriteTimeout > 0 {

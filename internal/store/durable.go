@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/grammar"
 	"repro/internal/update"
@@ -25,8 +24,6 @@ type Durability struct {
 	// Fsync is the append-path fsync policy (default wal.FsyncBatch:
 	// an acked batch survives any crash).
 	Fsync wal.FsyncPolicy
-	// FsyncEvery is the wal.FsyncInterval period (0 = wal default).
-	FsyncEvery time.Duration
 	// SnapshotEveryOps rolls a new snapshot once this many ops have
 	// been logged past the last one (0 = DefaultSnapshotEveryOps,
 	// negative = never snapshot automatically).
@@ -46,7 +43,6 @@ const DefaultSnapshotEveryOps = 512
 func (d *Durability) walOptions() wal.Options {
 	return wal.Options{
 		Fsync:        d.Fsync,
-		FsyncEvery:   d.FsyncEvery,
 		SegmentBytes: d.SegmentBytes,
 		Injector:     d.Injector,
 	}
@@ -129,7 +125,9 @@ func OpenDurable(id string, cfg Config) (*Store, error) {
 	// was applied (and logged) before the crash must be acked
 	// idempotently, not re-applied.
 	st.lastSeq = rec.LastSeq
-	st.recovered = rec.Stats
+	st.ctr.RecoveredOps = rec.Stats.RecoveredOps
+	st.ctr.TruncatedTailRecords = rec.Stats.TruncatedTailRecords
+	st.ctr.SnapshotsCorrupt = rec.Stats.SnapshotsCorrupt
 	return st, nil
 }
 
@@ -169,8 +167,8 @@ func (s *Store) appendWALLocked(ops []update.Op, seq uint64) error {
 // SyncWAL forces an fsync of the document's WAL tail regardless of the
 // configured fsync policy — the drain hook: a graceful front-end drain
 // syncs every resident document after the last in-flight batch, so
-// every acked write survives a post-drain kill even under FsyncOff or
-// FsyncInterval. No-op for in-memory Stores.
+// every acked write survives a post-drain kill even under FsyncOff.
+// No-op for in-memory Stores.
 func (s *Store) SyncWAL() error {
 	s.mu.RLock()
 	wl := s.wl
@@ -228,7 +226,7 @@ func (s *Store) maybeSnapshotLocked() {
 		} else {
 			// The snapshot failed but no acked data is at risk — the WAL
 			// still holds every op. Recovery just replays a longer tail.
-			s.snapshotFailures++
+			s.ctr.SnapshotFailures++
 		}
 		s.activeRuns--
 		s.runsDone.Broadcast()

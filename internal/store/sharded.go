@@ -96,7 +96,7 @@ type Sharded struct {
 	// fleet totals survive eviction: a rehydrated document restarts its
 	// Store counters from zero, but Stats() starts from this.
 	retiredMu sync.Mutex
-	retired   ShardedStats
+	retired   Counters
 }
 
 // docEntry is one document's slot in the fleet: a stable identity that
@@ -398,7 +398,7 @@ func (s *Sharded) evictEntry(e *docEntry) bool {
 	}
 	ds := st.Stats()
 	s.retiredMu.Lock()
-	addStats(&s.retired, ds)
+	s.retired.add(ds.Counters)
 	s.retiredMu.Unlock()
 	e.st.Store(nil)
 	s.residentBytes.Add(-e.footprint.Swap(0))
@@ -707,32 +707,15 @@ func (s *Sharded) Close() error {
 	return err
 }
 
-// ShardedStats aggregates the per-document Store counters across every
-// open document — including, via an internal retired-counter
-// accumulator, the lifetime counters of Store incarnations that have
-// since been evicted (Size/PeakSize/ResidentBytes always reflect only
-// the currently resident documents).
+// ShardedStats is the fleet's Counters — summed over every open
+// document, including the Store incarnations that have since been
+// evicted — plus the fleet gauges below. Size, PeakSize, ResidentBytes
+// and BrokenDocs reflect only the currently resident documents.
 type ShardedStats struct {
+	Counters
+
 	Shards int
 	Docs   int
-
-	Ops     int64
-	Batches int64
-	// DupBatches counts sequenced batches acked idempotently across the
-	// fleet — retried batches whose original ack was lost.
-	DupBatches int64
-
-	Recompressions          int64
-	AsyncRecompressions     int64
-	DiscardedRecompressions int64
-	ReplayedTailOps         int64
-	CostRecompressions      int64
-	DeferredRecompressions  int64 // policy firings deferred by the shared gate
-	Refolds                 int64
-	RefoldedNodes           int64
-	RefoldRules             int64
-	FoldFirstRuns           int64
-	StallNanos              int64
 
 	Size     int // Σ |G| over resident documents
 	PeakSize int // Σ resident per-document peaks
@@ -746,49 +729,9 @@ type ShardedStats struct {
 	EvictFailures int64 // evictions abandoned (close/encode failure)
 	ResidentBytes int64 // Σ footprint estimate of resident documents
 
-	// Durability counters summed over the fleet (zero when in-memory).
-	WALAppends           int64
-	WALBytes             int64
-	WALSyncs             int64
-	FsyncNanos           int64
-	Snapshots            int64
-	SnapshotFailures     int64
-	RecoveredOps         int64
-	TruncatedTailRecords int64
-	SnapshotsCorrupt     int64
 	// BrokenDocs counts documents whose WAL write path has failed;
 	// they serve reads but reject writes until reopened.
 	BrokenDocs int
-}
-
-// addStats folds one Store's monotonic counters into a fleet total.
-// Point-in-time gauges (Size, PeakSize, ResidentBytes, broken state)
-// are deliberately excluded: they are summed over resident documents
-// only, by the caller.
-func addStats(out *ShardedStats, ds Stats) {
-	out.Ops += ds.Ops
-	out.Batches += ds.Batches
-	out.DupBatches += ds.DupBatches
-	out.Recompressions += ds.Recompressions
-	out.AsyncRecompressions += ds.AsyncRecompressions
-	out.DiscardedRecompressions += ds.DiscardedRecompressions
-	out.ReplayedTailOps += ds.ReplayedTailOps
-	out.CostRecompressions += ds.CostRecompressions
-	out.DeferredRecompressions += ds.DeferredRecompressions
-	out.Refolds += ds.Refolds
-	out.RefoldedNodes += ds.RefoldedNodes
-	out.RefoldRules += ds.RefoldRules
-	out.FoldFirstRuns += ds.FoldFirstRuns
-	out.StallNanos += ds.StallNanos
-	out.WALAppends += ds.WALAppends
-	out.WALBytes += ds.WALBytes
-	out.WALSyncs += ds.WALSyncs
-	out.FsyncNanos += ds.FsyncNanos
-	out.Snapshots += ds.Snapshots
-	out.SnapshotFailures += ds.SnapshotFailures
-	out.RecoveredOps += ds.RecoveredOps
-	out.TruncatedTailRecords += ds.TruncatedTailRecords
-	out.SnapshotsCorrupt += ds.SnapshotsCorrupt
 }
 
 // Stats sums the counters of every open document, starting from the
@@ -801,7 +744,7 @@ func (s *Sharded) Stats() ShardedStats {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
 	s.retiredMu.Lock()
-	out := s.retired
+	out := ShardedStats{Counters: s.retired}
 	s.retiredMu.Unlock()
 	out.Shards = len(s.shards)
 	out.Evictions = s.evictions.Load()
@@ -817,7 +760,7 @@ func (s *Sharded) Stats() ShardedStats {
 			}
 			out.Resident++
 			ds := st.Stats()
-			addStats(&out, ds)
+			out.add(ds.Counters)
 			out.Size += ds.Size
 			out.PeakSize += ds.PeakSize
 			out.ResidentBytes += ds.ResidentBytes

@@ -91,8 +91,6 @@ import (
 
 // Config tunes a Store. The zero value selects the defaults below.
 type Config struct {
-	// MaxRank is the paper's k_in for recompression runs (0 = default 4).
-	MaxRank int
 	// Ratio triggers auto-recompression when |G| exceeds
 	// Ratio × |G_lastCompressed|. 0 selects DefaultRatio; a negative
 	// value disables auto-recompression (Recompress stays available).
@@ -212,8 +210,10 @@ const (
 // trigger; below it the trigger backs off multiplicatively.
 const payoffThreshold = 1.15
 
-// Stats is a point-in-time snapshot of a Store's counters.
-type Stats struct {
+// Counters are a Store's monotonic counts. Stats and ShardedStats both
+// embed them, so each counter is declared once and a fleet total is one
+// add per document — evicted documents included.
+type Counters struct {
 	Ops     int64 // operations applied
 	Renames int64
 	Inserts int64
@@ -222,9 +222,8 @@ type Stats struct {
 	// DupBatches counts sequenced batches acked idempotently because
 	// their sequence was at or below the watermark — each one is a
 	// client retry whose original ack was lost (the exactly-once path
-	// doing its job). LastSeq is the current watermark.
+	// doing its job).
 	DupBatches int64
-	LastSeq    uint64
 
 	Recompressions          int64 // GrammarRePair runs swapped in (auto + manual)
 	AsyncRecompressions     int64 // of those, runs compressed off the write lock
@@ -237,9 +236,6 @@ type Stats struct {
 	// runs, only the snapshot clone and the swap for asynchronous ones —
 	// the number the async mode exists to shrink.
 	StallNanos int64
-	// RecompressionInflight reports an asynchronous run between snapshot
-	// and swap at the time of the Stats call.
-	RecompressionInflight bool
 
 	SizeCacheHits    int64 // ops served from the warm size-vector cache
 	SizeCacheMisses  int64 // full ValSizes recomputations
@@ -251,17 +247,79 @@ type Stats struct {
 	// Isolation-frontier counters (internal/isolate's spine index).
 	// IsolationSteps is the naive descent work the cost trigger watches;
 	// IsolationJumps/IsolationSkipped are the seeks that replaced walks
-	// and the entries they skipped; SpineNodes/Spines gauge the live
-	// index; the Refold counters record incremental re-folding activity.
+	// and the entries they skipped; the Refold counters record
+	// incremental re-folding activity.
 	IsolationSteps   int64
 	IsolationJumps   int64
 	IsolationSkipped int64
-	SpineNodes       int
-	Spines           int
 	Refolds          int64 // batch boundaries that folded ≥ 1 segment
 	RefoldedNodes    int64 // spine entries folded back into rules
 	RefoldRules      int64 // fresh rules those folds created
 	FoldFirstRuns    int64 // recompressions whose input a pre-fold shrank
+
+	// Durability counters; all zero for in-memory Stores.
+	WALAppends       int64 // acked batches appended to the log
+	WALBytes         int64 // their framed on-disk size
+	WALSyncs         int64 // fsyncs on the append + snapshot paths
+	FsyncNanos       int64 // wall time inside those fsyncs
+	Snapshots        int64 // snapshots published over this Store's lifetime
+	SnapshotFailures int64
+	// Recovery results, set once at OpenDurable time.
+	RecoveredOps         int64 // WAL tail ops replayed at open
+	TruncatedTailRecords int64 // unacked torn records dropped at open
+	SnapshotsCorrupt     int64 // corrupt snapshots skipped at open
+}
+
+// add folds o into c, field by field.
+func (c *Counters) add(o Counters) {
+	c.Ops += o.Ops
+	c.Renames += o.Renames
+	c.Inserts += o.Inserts
+	c.Deletes += o.Deletes
+	c.Batches += o.Batches
+	c.DupBatches += o.DupBatches
+	c.Recompressions += o.Recompressions
+	c.AsyncRecompressions += o.AsyncRecompressions
+	c.DiscardedRecompressions += o.DiscardedRecompressions
+	c.ReplayedTailOps += o.ReplayedTailOps
+	c.CostRecompressions += o.CostRecompressions
+	c.DeferredRecompressions += o.DeferredRecompressions
+	c.StallNanos += o.StallNanos
+	c.SizeCacheHits += o.SizeCacheHits
+	c.SizeCacheMisses += o.SizeCacheMisses
+	c.UsageCacheHits += o.UsageCacheHits
+	c.UsageCacheMisses += o.UsageCacheMisses
+	c.GCRuns += o.GCRuns
+	c.RulesCollected += o.RulesCollected
+	c.IsolationSteps += o.IsolationSteps
+	c.IsolationJumps += o.IsolationJumps
+	c.IsolationSkipped += o.IsolationSkipped
+	c.Refolds += o.Refolds
+	c.RefoldedNodes += o.RefoldedNodes
+	c.RefoldRules += o.RefoldRules
+	c.FoldFirstRuns += o.FoldFirstRuns
+	c.WALAppends += o.WALAppends
+	c.WALBytes += o.WALBytes
+	c.WALSyncs += o.WALSyncs
+	c.FsyncNanos += o.FsyncNanos
+	c.Snapshots += o.Snapshots
+	c.SnapshotFailures += o.SnapshotFailures
+	c.RecoveredOps += o.RecoveredOps
+	c.TruncatedTailRecords += o.TruncatedTailRecords
+	c.SnapshotsCorrupt += o.SnapshotsCorrupt
+}
+
+// Stats is a point-in-time snapshot of a Store: its Counters plus the
+// gauges below.
+type Stats struct {
+	Counters
+	LastSeq uint64 // the exactly-once watermark
+	// RecompressionInflight reports an asynchronous run between snapshot
+	// and swap at the time of the Stats call.
+	RecompressionInflight bool
+
+	SpineNodes int // entries in the live isolation-frontier index
+	Spines     int // spines those entries belong to
 
 	Size               int     // current |G|
 	PeakSize           int     // max |G| observed at any batch boundary
@@ -277,22 +335,11 @@ type Stats struct {
 	Elements  int64
 	Saturated bool
 
-	// Durability counters; all zero for in-memory Stores.
-	Durable    bool
-	WALAppends int64 // acked batches appended to the log
-	WALBytes   int64 // their framed on-disk size
-	WALSyncs   int64 // fsyncs on the append + snapshot paths
-	FsyncNanos int64 // wall time inside those fsyncs
-	Snapshots  int64 // snapshots published over this Store's lifetime
+	Durable bool // the Store appends to a write-ahead log
 	// WALBroken reports a write-path durability failure: applied state
 	// and disk have diverged and every later write fails fast until
 	// the document is reopened through recovery.
-	WALBroken        bool
-	SnapshotFailures int64
-	// Recovery results, set once at OpenDurable time.
-	RecoveredOps         int64 // WAL tail ops replayed at open
-	TruncatedTailRecords int64 // unacked torn records dropped at open
-	SnapshotsCorrupt     int64 // corrupt snapshots skipped at open
+	WALBroken bool
 }
 
 // Store is a grammar-compressed document under a stream of updates. See
@@ -359,37 +406,24 @@ type Store struct {
 	// epoch at zero, the base reconciles them). walBroken is the sticky
 	// first WAL failure: applied memory and disk have diverged, so
 	// every later write fails fast until reopen-through-recovery.
-	closed           bool
-	wl               *wal.Log
-	walPos           int64
-	epochBase        int64
-	walBroken        error
-	lastSnapPos      int64 // walPos covered by the newest published snapshot
-	snapEvery        int64
-	snapInflight     bool
-	snapshotFailures int64
-	recovered        wal.RecoveryStats
+	closed       bool
+	wl           *wal.Log
+	walPos       int64
+	epochBase    int64
+	walBroken    error
+	lastSnapPos  int64 // walPos covered by the newest published snapshot
+	snapEvery    int64
+	snapInflight bool
 
-	// Exactly-once retry state (guarded by mu): lastSeq is the highest
-	// client batch sequence applied (persisted with each WAL record and
-	// snapshot, restored at OpenDurable); dupBatches counts sequenced
-	// batches acked idempotently without re-applying.
-	lastSeq    uint64
-	dupBatches int64
+	// lastSeq is the exactly-once watermark (guarded by mu): the highest
+	// client batch sequence applied, persisted with each WAL record and
+	// snapshot and restored at OpenDurable.
+	lastSeq uint64
 
-	ops, renames, inserts, deletes int64
-	batches                        int64
-	recompressions                 int64
-	asyncRecompressions            int64
-	discardedRecompressions        int64
-	replayedTailOps                int64
-	costRecompressions             int64
-	deferredRecompressions         int64
-	refolds, refoldedNodes         int64
-	refoldRules                    int64
-	foldFirstRuns                  int64
-	stallNanos                     int64
-	gcRuns, rulesCollected         int64
+	// ctr holds the monotonic counts that Stats reports (guarded by mu),
+	// except those another component already keeps: the size-vector
+	// cache's hits, the usage atomics, the frontier's and the WAL's own.
+	ctr Counters
 }
 
 // maxTail resolves the configured replay bound.
@@ -495,14 +529,14 @@ func (s *Store) ApplyAllSeq(ops []update.Op, seq uint64) error {
 		if seq <= s.lastSeq {
 			// Already applied (and, on a durable Store, logged): a retry
 			// of a batch whose ack was lost. Ack again, apply nothing.
-			s.dupBatches++
+			s.ctr.DupBatches++
 			return nil
 		}
 		if seq != s.lastSeq+1 {
 			return fmt.Errorf("%w: batch sequence %d, store is at %d", ErrSeqGap, seq, s.lastSeq)
 		}
 	}
-	s.batches++
+	s.ctr.Batches++
 	var applyErr error
 	committed := len(ops)
 	for i := range ops {
@@ -557,14 +591,14 @@ func (s *Store) applyLocked(op update.Op) error {
 		}
 	}
 	s.pendingGC = s.pendingGC || stranded
-	s.ops++
+	s.ctr.Ops++
 	switch op.Kind {
 	case update.Rename:
-		s.renames++
+		s.ctr.Renames++
 	case update.Insert:
-		s.inserts++
+		s.ctr.Inserts++
 	case update.Delete:
-		s.deletes++
+		s.ctr.Deletes++
 	}
 	return nil
 }
@@ -604,7 +638,7 @@ func (s *Store) finishBatchLocked() {
 			s.recompressLocked(costFired)
 		}
 		if started && costFired {
-			s.costRecompressions++
+			s.ctr.CostRecompressions++
 		}
 		return
 	}
@@ -622,7 +656,7 @@ func (s *Store) costTriggerLocked() bool {
 	if budget == 0 {
 		budget = DefaultCostStepsPerOp
 	}
-	opsSince := s.ops - s.costBaseOps
+	opsSince := s.ctr.Ops - s.costBaseOps
 	if opsSince < costTriggerMinOps {
 		return false
 	}
@@ -634,7 +668,7 @@ func (s *Store) costTriggerLocked() bool {
 // recompression (the unfolded shape it measured is gone).
 func (s *Store) resetCostBaselineLocked() {
 	s.costBaseSteps = s.cache.FrontierStats().Steps
-	s.costBaseOps = s.ops
+	s.costBaseOps = s.ctr.Ops
 }
 
 // refoldLocked runs one bounded incremental re-folding pass when the
@@ -667,9 +701,9 @@ func (s *Store) refoldLocked() {
 	s.ensurePrivateLocked()
 	folds, entries := s.cache.Refold(s.g, coldOps, refoldMaxChunks)
 	if folds > 0 {
-		s.refolds++
-		s.refoldRules += int64(folds)
-		s.refoldedNodes += int64(entries)
+		s.ctr.Refolds++
+		s.ctr.RefoldRules += int64(folds)
+		s.ctr.RefoldedNodes += int64(entries)
 		// Folding minted rules, so the incremental |G| split moved.
 		s.sizeRest = s.g.Size() - s.startEdgesLocked()
 	}
@@ -704,10 +738,10 @@ func (s *Store) foldFirstLocked() {
 	s.ensurePrivateLocked()
 	folds, entries := s.cache.Refold(s.g, 0, 1<<30)
 	if folds > 0 {
-		s.foldFirstRuns++
-		s.refolds++
-		s.refoldRules += int64(folds)
-		s.refoldedNodes += int64(entries)
+		s.ctr.FoldFirstRuns++
+		s.ctr.Refolds++
+		s.ctr.RefoldRules += int64(folds)
+		s.ctr.RefoldedNodes += int64(entries)
 		s.sizeRest = s.g.Size() - s.startEdgesLocked()
 	}
 }
@@ -724,7 +758,7 @@ func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
 	if s.cfg.Gate != nil && !s.cfg.Gate.tryAcquire() {
 		// The fleet's recompression budget is spent; defer — the policy
 		// fires again at a later batch boundary.
-		s.deferredRecompressions++
+		s.ctr.DeferredRecompressions++
 		return false
 	}
 	start := time.Now()
@@ -735,7 +769,7 @@ func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
 		s.foldFirstLocked()
 	}
 	snap := s.g.Clone()
-	s.stallNanos += time.Since(start).Nanoseconds()
+	s.ctr.StallNanos += time.Since(start).Nanoseconds()
 	s.inflight = true
 	s.tail = s.tail[:0]
 	s.tailOverflow = false
@@ -746,7 +780,7 @@ func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
 		if s.cfg.Gate != nil {
 			defer s.cfg.Gate.release()
 		}
-		g2, st := s.compress(snap, core.Options{MaxRank: s.cfg.MaxRank})
+		g2, st := s.compress(snap, core.Options{})
 		sizes, szErr := g2.ValSizes()
 		s.completeAsync(gen, epoch, g2, st, sizes, szErr)
 	}()
@@ -763,7 +797,7 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 	// so the stall clock starts here.
 	start := time.Now()
 	defer func() {
-		s.stallNanos += time.Since(start).Nanoseconds()
+		s.ctr.StallNanos += time.Since(start).Nanoseconds()
 		s.activeRuns--
 		s.runsDone.Broadcast()
 		s.mu.Unlock()
@@ -772,7 +806,7 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 	tail := s.tail
 	s.tail = nil
 	discard := func() {
-		s.discardedRecompressions++
+		s.ctr.DiscardedRecompressions++
 	}
 	if gen != s.gen || szErr != nil || s.tailOverflow {
 		// The grammar was replaced under the run (manual Recompress), the
@@ -806,7 +840,7 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 			}
 			stranded = stranded || str
 		}
-		s.replayedTailOps += int64(len(tail))
+		s.ctr.ReplayedTailOps += int64(len(tail))
 	default:
 		// Epoch moved in a way the tail does not explain (it was trimmed,
 		// or a non-update mutation happened): not safe to swap.
@@ -827,8 +861,8 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 	// that grammar is frozen and untouched forever.
 	s.publishLocked()
 	s.resetCostBaselineLocked()
-	s.recompressions++
-	s.asyncRecompressions++
+	s.ctr.Recompressions++
+	s.ctr.AsyncRecompressions++
 	// The policy baseline is what actually went live — including any
 	// growth the tail replay just added — or sustained racing writes
 	// would make every subsequent trigger fire earlier than Ratio says.
@@ -865,8 +899,8 @@ func (s *Store) gcLocked() int {
 	s.pendingGC = false
 	s.ensurePrivateLocked()
 	removed, size, startEdges := s.g.GarbageCollectSized()
-	s.gcRuns++
-	s.rulesCollected += int64(removed)
+	s.ctr.GCRuns++
+	s.ctr.RulesCollected += int64(removed)
 	if removed > 0 {
 		s.cache.DropDeleted(s.g)
 	}
@@ -892,7 +926,7 @@ func (s *Store) recompressLocked(foldFirst bool) *core.Stats {
 		s.foldFirstLocked()
 	}
 	before := s.g.Size()
-	g2, st := s.compress(s.g, core.Options{MaxRank: s.cfg.MaxRank})
+	g2, st := s.compress(s.g, core.Options{})
 	s.g = g2
 	s.gen++
 	s.cache.Invalidate()
@@ -910,14 +944,14 @@ func (s *Store) recompressLocked(foldFirst bool) *core.Stats {
 	// recompression for an index only readers need.
 	s.publishLocked()
 	s.resetCostBaselineLocked()
-	s.recompressions++
+	s.ctr.Recompressions++
 	s.lastCompressed = g2.Size()
 	s.sizeRest = s.lastCompressed - s.startEdgesLocked()
 	if st.MaxIntermediate > s.peakSize {
 		s.peakSize = st.MaxIntermediate
 	}
 	s.tunePolicy(before, g2.Size())
-	s.stallNanos += time.Since(start).Nanoseconds()
+	s.ctr.StallNanos += time.Since(start).Nanoseconds()
 	return st
 }
 
@@ -1130,63 +1164,39 @@ func (s *Store) residentBytesLocked() int64 {
 		int64(s.cache.FrontierStats().Entries)*bytesPerSpineEntry
 }
 
-// Stats returns a snapshot of the Store's counters.
+// Stats returns a snapshot of the Store's counters and gauges.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := Stats{
-		Ops:        s.ops,
-		Renames:    s.renames,
-		Inserts:    s.inserts,
-		Deletes:    s.deletes,
-		Batches:    s.batches,
-		DupBatches: s.dupBatches,
-		LastSeq:    s.lastSeq,
-
-		Recompressions:          s.recompressions,
-		AsyncRecompressions:     s.asyncRecompressions,
-		DiscardedRecompressions: s.discardedRecompressions,
-		ReplayedTailOps:         s.replayedTailOps,
-		CostRecompressions:      s.costRecompressions,
-		DeferredRecompressions:  s.deferredRecompressions,
-		StallNanos:              s.stallNanos,
-		RecompressionInflight:   s.inflight,
-		SizeCacheHits:           s.cache.Hits,
-		SizeCacheMisses:         s.cache.Misses,
-		GCRuns:                  s.gcRuns,
-		RulesCollected:          s.rulesCollected,
-		Refolds:                 s.refolds,
-		RefoldedNodes:           s.refoldedNodes,
-		RefoldRules:             s.refoldRules,
-		FoldFirstRuns:           s.foldFirstRuns,
-
-		Size:               s.sizeRest + s.startEdgesLocked(),
-		PeakSize:           s.peakSize,
-		LastCompressedSize: s.lastCompressed,
-		EffectiveRatio:     s.effRatio,
-		ResidentBytes:      s.residentBytesLocked(),
+		Counters:              s.ctr,
+		LastSeq:               s.lastSeq,
+		RecompressionInflight: s.inflight,
+		Size:                  s.sizeRest + s.startEdgesLocked(),
+		PeakSize:              s.peakSize,
+		LastCompressedSize:    s.lastCompressed,
+		EffectiveRatio:        s.effRatio,
+		ResidentBytes:         s.residentBytesLocked(),
 	}
+	st.SizeCacheHits = s.cache.Hits
+	st.SizeCacheMisses = s.cache.Misses
+	st.UsageCacheHits = s.usageHits.Load()
+	st.UsageCacheMisses = s.usageMisses.Load()
 	fs := s.cache.FrontierStats()
 	st.IsolationSteps = fs.Steps
 	st.IsolationJumps = fs.Jumps
 	st.IsolationSkipped = fs.Skipped
 	st.SpineNodes = fs.Entries
 	st.Spines = fs.Spines
-	st.UsageCacheHits = s.usageHits.Load()
-	st.UsageCacheMisses = s.usageMisses.Load()
 	if s.wl != nil {
-		ctr := s.wl.Counters()
+		wc := s.wl.Counters()
 		st.Durable = true
-		st.WALAppends = ctr.Appends
-		st.WALBytes = ctr.AppendedBytes
-		st.WALSyncs = ctr.Syncs
-		st.FsyncNanos = ctr.SyncNanos
-		st.Snapshots = ctr.Snapshots
+		st.WALAppends = wc.Appends
+		st.WALBytes = wc.AppendedBytes
+		st.WALSyncs = wc.Syncs
+		st.FsyncNanos = wc.SyncNanos
+		st.Snapshots = wc.Snapshots
 		st.WALBroken = s.walBroken != nil
-		st.SnapshotFailures = s.snapshotFailures
-		st.RecoveredOps = s.recovered.RecoveredOps
-		st.TruncatedTailRecords = s.recovered.TruncatedTailRecords
-		st.SnapshotsCorrupt = s.recovered.SnapshotsCorrupt
 	}
 	if st.Size > st.PeakSize {
 		st.PeakSize = st.Size

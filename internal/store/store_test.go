@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -428,5 +429,29 @@ func TestUsageCache(t *testing.T) {
 	check("after recompression")
 	if s2 := st.Stats(); s2.UsageCacheMisses != 3 {
 		t.Fatalf("recompression must invalidate the usage cache (misses=%d, want 3)", s2.UsageCacheMisses)
+	}
+}
+
+// TestCountersAddCoversEveryField fills every Counters field with a
+// distinct value and requires two adds onto a zero value to double each
+// one, so a counter added to Counters cannot be dropped from (or
+// assigned instead of summed into) the fleet totals.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var in Counters
+	v := reflect.ValueOf(&in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if k := v.Field(i).Kind(); k != reflect.Int64 {
+			t.Fatalf("Counters.%s is %s; add and this test assume int64", v.Type().Field(i).Name, k)
+		}
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	var got Counters
+	got.add(in)
+	got.add(in)
+	g := reflect.ValueOf(got)
+	for i := 0; i < g.NumField(); i++ {
+		if want := 2 * int64(i+1); g.Field(i).Int() != want {
+			t.Errorf("Counters.%s = %d after two adds, want %d", g.Type().Field(i).Name, g.Field(i).Int(), want)
+		}
 	}
 }

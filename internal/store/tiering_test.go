@@ -227,11 +227,26 @@ func TestTieredZipfDifferential(t *testing.T) {
 			t.Fatalf("%s: tiered fleet diverged from unbounded fleet", fx.id)
 		}
 	}
-	// Ops must survive in the fleet totals across evictions (the
-	// retired-counter accumulator).
-	if st.Ops != free.Stats().Ops {
-		t.Fatalf("tiered fleet lost ops across evictions: %d, want %d",
-			st.Ops, free.Stats().Ops)
+	// The op and batch counters must survive in the fleet totals across
+	// evictions (the retired-counter accumulator). The update workload
+	// inserts and deletes only, so Renames is 0 on both sides.
+	fs := free.Stats()
+	if fs.Inserts == 0 || fs.Deletes == 0 {
+		t.Fatalf("schedule drove inserts=%d deletes=%d: the comparison is vacuous", fs.Inserts, fs.Deletes)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"Ops", st.Ops, fs.Ops},
+		{"Renames", st.Renames, fs.Renames},
+		{"Inserts", st.Inserts, fs.Inserts},
+		{"Deletes", st.Deletes, fs.Deletes},
+		{"Batches", st.Batches, fs.Batches},
+	} {
+		if c.got != c.want {
+			t.Fatalf("tiered fleet lost %s across evictions: %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -69,7 +69,6 @@ type Log struct {
 	segStart int64   // stream position of the active segment's first op
 	pos      int64   // next op position (== ops durably appended)
 	broken   error   // sticky first append-path failure
-	lastSync time.Time
 	ctr      Counters
 
 	snapMu sync.Mutex // serializes snapshot publication
@@ -184,13 +183,8 @@ func (l *Log) rollSegmentLocked() error {
 }
 
 func (l *Log) maybeSyncLocked() error {
-	switch l.opts.Fsync {
-	case FsyncBatch:
+	if l.opts.Fsync == FsyncBatch {
 		return l.syncLocked()
-	case FsyncInterval:
-		if time.Since(l.lastSync) >= l.opts.fsyncEvery() {
-			return l.syncLocked()
-		}
 	}
 	return nil
 }
@@ -202,7 +196,6 @@ func (l *Log) syncLocked() error {
 	}
 	l.ctr.Syncs++
 	l.ctr.SyncNanos += time.Since(t0).Nanoseconds()
-	l.lastSync = t0
 	return nil
 }
 

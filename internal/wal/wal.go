@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Errors of the durability layer.
@@ -67,9 +66,6 @@ const (
 	// FsyncBatch fsyncs after every appended batch, before the ack:
 	// an acked batch survives any crash. The durable default.
 	FsyncBatch FsyncPolicy = iota
-	// FsyncInterval fsyncs at most once per FsyncEvery, checked at
-	// append time: a crash may lose up to one interval of acked ops.
-	FsyncInterval
 	// FsyncOff never fsyncs on the append path (the OS flushes when it
 	// pleases); Close still syncs. The bench baseline for the fsync tax.
 	FsyncOff
@@ -79,8 +75,6 @@ func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncBatch:
 		return "batch"
-	case FsyncInterval:
-		return "interval"
 	case FsyncOff:
 		return "off"
 	}
@@ -91,8 +85,6 @@ func (p FsyncPolicy) String() string {
 type Options struct {
 	// Fsync is the append-path fsync policy (default FsyncBatch).
 	Fsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval period (0 = DefaultFsyncEvery).
-	FsyncEvery time.Duration
 	// SegmentBytes rolls the active segment once it holds at least
 	// this many bytes (0 = DefaultSegmentBytes).
 	SegmentBytes int64
@@ -101,11 +93,8 @@ type Options struct {
 	Injector Injector
 }
 
-// Defaults; see Options.
-const (
-	DefaultSegmentBytes = 1 << 20
-	DefaultFsyncEvery   = 100 * time.Millisecond
-)
+// DefaultSegmentBytes is the segment roll size; see Options.
+const DefaultSegmentBytes = 1 << 20
 
 // Format bounds. Like the grammar decoder's, these exist so a few
 // corrupt bytes can never demand a giant allocation: a declared length
@@ -120,13 +109,6 @@ func (o Options) segmentBytes() int64 {
 		return DefaultSegmentBytes
 	}
 	return o.SegmentBytes
-}
-
-func (o Options) fsyncEvery() time.Duration {
-	if o.FsyncEvery <= 0 {
-		return DefaultFsyncEvery
-	}
-	return o.FsyncEvery
 }
 
 // FileKind classifies the file an injected operation targets.

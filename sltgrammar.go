@@ -100,7 +100,10 @@ type (
 	// recompression moves off the write lock) and, via MemoryBudget on a
 	// ShardedStore, the fleet's resident-memory tier.
 	StoreConfig = store.Config
-	// StoreStats is a snapshot of a Store's counters.
+	// StoreStats is a snapshot of a Store: its embedded Counters (ops,
+	// batches, recompressions, stalls, GC, caches, isolation, re-folds,
+	// WAL, snapshots, recovery) plus gauges such as |G| and the
+	// resident bytes.
 	StoreStats = store.Stats
 	// ShardedStore serves many documents at once: IDs are hashed across
 	// shards, each shard owning its documents' Stores plus one write
@@ -112,10 +115,11 @@ type (
 	// encoded grammar bytes — or, durably, to disk alone — and
 	// transparently rehydrate on their next access.
 	ShardedStore = store.Sharded
-	// ShardedStats aggregates Store counters across all documents of a
-	// ShardedStore, plus fleet residency: Resident/Evicted document
-	// counts, ResidentBytes, and the Evictions/Hydrations traffic of the
-	// memory tier.
+	// ShardedStats embeds the same Counters as StoreStats, summed across
+	// all documents of a ShardedStore, evicted ones included, plus the
+	// fleet gauges: Resident/Evicted document counts, Size,
+	// ResidentBytes, BrokenDocs, and the Evictions/Hydrations traffic of
+	// the memory tier.
 	ShardedStats = store.ShardedStats
 	// Durability makes a Store or ShardedStore durable: set it on a
 	// StoreConfig and every acked update batch is appended to a
@@ -125,9 +129,8 @@ type (
 	// the on-disk format and crash-tolerance contract.
 	Durability = store.Durability
 	// FsyncPolicy selects when the write-ahead log reaches stable
-	// storage: FsyncBatch (every acked batch survives any crash),
-	// FsyncInterval (bounded loss window), or FsyncOff (the OS decides;
-	// a clean Close still loses nothing).
+	// storage: FsyncBatch (every acked batch survives any crash) or
+	// FsyncOff (the OS decides; a clean Close still loses nothing).
 	FsyncPolicy = wal.FsyncPolicy
 	// Server is the network serving front-end over a ShardedStore: a
 	// CRC-framed binary wire protocol (the write-ahead log's record
@@ -137,14 +140,16 @@ type (
 	// repro/internal/server for the frame and message formats.
 	//
 	// The server is fault-tolerant: per-connection read/write/idle
-	// deadlines shed wedged peers, an in-flight cap backpressures
-	// bursts (both tuned via ServeConfig), and Drain performs graceful
-	// handoff — stop accepting, GoAway idle connections, finish and
-	// flush in-flight batches, force-sync the WAL tails, close.
+	// deadlines shed wedged peers (tuned via ServeConfig), and Drain
+	// performs graceful handoff — stop accepting, GoAway idle
+	// connections, finish and flush in-flight batches, force-sync the
+	// WAL tails, close. Write backpressure is the shard lock: each
+	// connection dispatches one request at a time, and at most one
+	// batch per shard applies at once.
 	Server = server.Server
-	// ServeConfig tunes a Server's fault tolerance: ReadTimeout,
-	// WriteTimeout, IdleTimeout, MaxInFlight. The zero value selects
-	// defaults; negative values disable a limit.
+	// ServeConfig tunes a Server's deadlines: ReadTimeout,
+	// WriteTimeout, IdleTimeout. The zero value selects defaults;
+	// negative values disable a limit.
 	ServeConfig = server.Config
 	// ServerClient is the synchronous wire client of a Server: Open,
 	// Apply (acked update batches), PointQuery, CountLabel,
@@ -170,9 +175,8 @@ type (
 
 // Fsync policies for Durability.
 const (
-	FsyncBatch    = wal.FsyncBatch
-	FsyncInterval = wal.FsyncInterval
-	FsyncOff      = wal.FsyncOff
+	FsyncBatch = wal.FsyncBatch
+	FsyncOff   = wal.FsyncOff
 )
 
 // Errors of the multi-document layer.
@@ -228,7 +232,7 @@ func OpenShardedStore(shards int, cfg StoreConfig) (*ShardedStore, error) {
 
 // Serve starts serving ss over ln (typically a TCP listener) and
 // returns immediately. The optional ServeConfig tunes connection
-// deadlines and the in-flight cap (omitted = defaults). The returned
+// deadlines (omitted = defaults). The returned
 // Server owns the listener; for a rolling restart call Drain, which
 // stops accepting, tells idle connections to go away, lets in-flight
 // batches finish and flush their acks, and syncs the WAL tails so
