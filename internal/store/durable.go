@@ -125,9 +125,20 @@ func OpenDurable(id string, cfg Config) (*Store, error) {
 	// was applied (and logged) before the crash must be acked
 	// idempotently, not re-applied.
 	st.lastSeq = rec.LastSeq
-	st.ctr.RecoveredOps = rec.Stats.RecoveredOps
-	st.ctr.TruncatedTailRecords = rec.Stats.TruncatedTailRecords
-	st.ctr.SnapshotsCorrupt = rec.Stats.SnapshotsCorrupt
+	// The replayed ops were counted by the incarnation that first
+	// applied them (in a fleet they already sit in the retired totals),
+	// so the counters restart here with only the recovery results. The
+	// cost trigger's op baseline shifts with them, keeping its window.
+	st.mu.Lock()
+	st.costBaseOps -= st.ctr.Ops
+	st.ctr = Counters{
+		RecoveredOps:         rec.Stats.RecoveredOps,
+		TruncatedTailRecords: rec.Stats.TruncatedTailRecords,
+		SnapshotsCorrupt:     rec.Stats.SnapshotsCorrupt,
+	}
+	st.cache.Hits, st.cache.Misses = 0, 0
+	st.isoBase = st.cache.FrontierStats()
+	st.mu.Unlock()
 	return st, nil
 }
 

@@ -84,6 +84,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grammar"
+	"repro/internal/isolate"
 	"repro/internal/navigate"
 	"repro/internal/update"
 	"repro/internal/wal"
@@ -264,7 +265,9 @@ type Counters struct {
 	FsyncNanos       int64 // wall time inside those fsyncs
 	Snapshots        int64 // snapshots published over this Store's lifetime
 	SnapshotFailures int64
-	// Recovery results, set once at OpenDurable time.
+	// Recovery results, set once at OpenDurable time. The replayed ops
+	// count here only: every other counter restarts at zero after the
+	// replay, so a fleet counts each op once across rehydrations.
 	RecoveredOps         int64 // WAL tail ops replayed at open
 	TruncatedTailRecords int64 // unacked torn records dropped at open
 	SnapshotsCorrupt     int64 // corrupt snapshots skipped at open
@@ -423,7 +426,11 @@ type Store struct {
 	// ctr holds the monotonic counts that Stats reports (guarded by mu),
 	// except those another component already keeps: the size-vector
 	// cache's hits, the usage atomics, the frontier's and the WAL's own.
-	ctr Counters
+	// isoBase is the frontier's count at the end of WAL replay, which
+	// Stats subtracts: replayed work is counted by the incarnation that
+	// first applied it (see OpenDurable).
+	ctr     Counters
+	isoBase isolate.FrontierStats
 }
 
 // maxTail resolves the configured replay bound.
@@ -1183,9 +1190,9 @@ func (s *Store) Stats() Stats {
 	st.UsageCacheHits = s.usageHits.Load()
 	st.UsageCacheMisses = s.usageMisses.Load()
 	fs := s.cache.FrontierStats()
-	st.IsolationSteps = fs.Steps
-	st.IsolationJumps = fs.Jumps
-	st.IsolationSkipped = fs.Skipped
+	st.IsolationSteps = fs.Steps - s.isoBase.Steps
+	st.IsolationJumps = fs.Jumps - s.isoBase.Jumps
+	st.IsolationSkipped = fs.Skipped - s.isoBase.Skipped
 	st.SpineNodes = fs.Entries
 	st.Spines = fs.Spines
 	if s.wl != nil {

@@ -191,11 +191,7 @@ func TestTieredZipfDifferential(t *testing.T) {
 	const nDocs, nOps = 12, 60
 	cfg := Config{Ratio: -1}
 	docs := shardedFixtures(t, nDocs, nOps)
-	var streams [][]update.Op
-	for _, fx := range docs {
-		streams = append(streams, fx.ops)
-	}
-	sched := workload.ZipfFleet(streams, 10, 1.4, 99)
+	sched := workload.ZipfFleet(zipfStreams(docs), 10, 1.4, 99)
 
 	free := NewSharded(3, cfg)
 	defer free.Close()
@@ -227,25 +223,45 @@ func TestTieredZipfDifferential(t *testing.T) {
 			t.Fatalf("%s: tiered fleet diverged from unbounded fleet", fx.id)
 		}
 	}
-	// The op and batch counters must survive in the fleet totals across
-	// evictions (the retired-counter accumulator). The update workload
-	// inserts and deletes only, so Renames is 0 on both sides.
-	fs := free.Stats()
-	if fs.Inserts == 0 || fs.Deletes == 0 {
-		t.Fatalf("schedule drove inserts=%d deletes=%d: the comparison is vacuous", fs.Inserts, fs.Deletes)
+	// Stats after the reads, which rehydrated the evicted documents.
+	requireSameOpCounts(t, tiered.Stats(), free.Stats())
+}
+
+// zipfStreams returns each fixture's update stream followed by ten
+// renames of its final tree, so a fleet schedule drives every op kind.
+// Renames address the tree they rename and move no positions, so the
+// final tree's positions stay valid after the stream.
+func zipfStreams(docs []*docFixture) [][]update.Op {
+	streams := make([][]update.Op, len(docs))
+	for i, fx := range docs {
+		ops := append([]update.Op(nil), fx.ops...)
+		streams[i] = append(ops, workload.Renames(fx.final, 10, int64(i))...)
+	}
+	return streams
+}
+
+// requireSameOpCounts checks that a tiered fleet's op and batch totals
+// equal those of the unbounded fleet that applied the same schedule:
+// counts must survive eviction (the retired accumulator) and must not
+// grow when rehydration replays a WAL tail.
+func requireSameOpCounts(t *testing.T, tiered, free ShardedStats) {
+	t.Helper()
+	if free.Renames == 0 || free.Inserts == 0 || free.Deletes == 0 {
+		t.Fatalf("schedule drove renames=%d inserts=%d deletes=%d: the comparison is vacuous",
+			free.Renames, free.Inserts, free.Deletes)
 	}
 	for _, c := range []struct {
 		name      string
 		got, want int64
 	}{
-		{"Ops", st.Ops, fs.Ops},
-		{"Renames", st.Renames, fs.Renames},
-		{"Inserts", st.Inserts, fs.Inserts},
-		{"Deletes", st.Deletes, fs.Deletes},
-		{"Batches", st.Batches, fs.Batches},
+		{"Ops", tiered.Ops, free.Ops},
+		{"Renames", tiered.Renames, free.Renames},
+		{"Inserts", tiered.Inserts, free.Inserts},
+		{"Deletes", tiered.Deletes, free.Deletes},
+		{"Batches", tiered.Batches, free.Batches},
 	} {
 		if c.got != c.want {
-			t.Fatalf("tiered fleet lost %s across evictions: %d, want %d", c.name, c.got, c.want)
+			t.Fatalf("tiered fleet counted %s %d, want %d", c.name, c.got, c.want)
 		}
 	}
 }
@@ -315,11 +331,7 @@ func TestTieredReadOnlyZipfEviction(t *testing.T) {
 func TestTieredZipfDifferentialDurable(t *testing.T) {
 	const nDocs, nOps = 8, 60
 	docs := shardedFixtures(t, nDocs, nOps)
-	var streams [][]update.Op
-	for _, fx := range docs {
-		streams = append(streams, fx.ops)
-	}
-	sched := workload.ZipfFleet(streams, 10, 1.4, 99)
+	sched := workload.ZipfFleet(zipfStreams(docs), 10, 1.4, 99)
 
 	mk := func(dir string, budget int64) Config {
 		return Config{
@@ -359,6 +371,13 @@ func TestTieredZipfDifferentialDurable(t *testing.T) {
 			t.Fatalf("%s: tiered durable fleet diverged", fx.id)
 		}
 	}
+	// Stats after the reads, which rehydrated the evicted documents
+	// through WAL replay.
+	st = tiered.Stats()
+	if st.RecoveredOps == 0 {
+		t.Fatal("no rehydration replayed a WAL tail: the count check is vacuous")
+	}
+	requireSameOpCounts(t, st, free.Stats())
 }
 
 // TestTieredConcurrentConvergence is the tiering race battery: writers
