@@ -21,28 +21,18 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
+
+	"repro/internal/benchrec"
 )
 
-type record struct {
-	Benchmarks []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-	} `json:"benchmarks"`
-}
-
 func load(path string) (map[string]float64, error) {
-	raw, err := os.ReadFile(path)
+	rec, err := benchrec.Load(path)
 	if err != nil {
 		return nil, err
-	}
-	var rec record
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	out := make(map[string]float64, len(rec.Benchmarks))
 	for _, b := range rec.Benchmarks {

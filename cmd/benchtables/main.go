@@ -10,6 +10,9 @@
 //	benchtables -scale 0.5           # half-size corpora
 //	benchtables -json 1 -scale 0.08  # machine-readable perf record BENCH_1.json
 //
+// To record a baseline beside a candidate for the drift gate, use
+// cmd/benchpair, which runs this command's -json pass from both trees.
+//
 // Profiling (see PERF.md for the workflow):
 //
 //	benchtables -json 0 -fig6 -cpuprofile cpu.out   # profile an experiment
@@ -18,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchrec"
 	"repro/internal/benchsuite"
 	"repro/internal/experiments"
 )
@@ -172,39 +175,6 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// benchEntry is one benchmark measurement in the BENCH_<n>.json record.
-// P50Ns/P99Ns carry the client-observed batch latency quantiles of the
-// serving tracks (reported via b.ReportMetric as p50-ns / p99-ns);
-// they are absent for tracks that only measure ns/op.
-type benchEntry struct {
-	Name        string  `json:"name"`
-	Runs        int     `json:"runs"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	P50Ns       float64 `json:"p50_ns,omitempty"`
-	P99Ns       float64 `json:"p99_ns,omitempty"`
-}
-
-// benchRecord is the machine-readable perf trajectory record. Every perf
-// PR regenerates BENCH_<pr>.json so regressions and wins diff cleanly.
-// ExperimentSeed applies to the experiment-driver benchmarks (Table3,
-// StaticCompression); the micro benchmarks use the benchsuite-pinned
-// corpus/rename seeds so they match `go test -bench` exactly.
-type benchRecord struct {
-	Date           string       `json:"date"`
-	GoVersion      string       `json:"go_version"`
-	GOOS           string       `json:"goos"`
-	GOARCH         string       `json:"goarch"`
-	Scale          float64      `json:"scale"`
-	MicroScale     float64      `json:"micro_scale"`
-	BestOf         int          `json:"best_of,omitempty"`
-	ExperimentSeed int64        `json:"experiment_seed"`
-	CorpusSeed     int64        `json:"corpus_seed"`
-	RenameSeed     int64        `json:"rename_seed"`
-	Benchmarks     []benchEntry `json:"benchmarks"`
-}
-
 // writeBenchJSON runs the benchmark suite at the configured scale via
 // testing.Benchmark and writes BENCH_<n>.json in the current directory.
 // With best > 1 the whole suite runs that many times and each
@@ -212,11 +182,14 @@ type benchRecord struct {
 // single-core machine a single sample carries scheduler noise well past
 // the drift gate's tolerance, and the minimum is the standard estimator
 // for the code's actual cost under that noise. Comparing records only
-// makes sense when both sides used the same -best.
+// makes sense when both sides used the same -best. When the host's
+// speed drifts between stretches of minutes, records taken one after
+// the other still disagree; cmd/benchpair records a baseline and a
+// candidate from interleaved passes instead.
 func writeBenchJSON(n, best int, cfg experiments.Config) error {
 	quiet := cfg
 	quiet.Out = nil
-	rec := benchRecord{
+	rec := benchrec.Record{
 		Date:           time.Now().UTC().Format(time.RFC3339),
 		GoVersion:      runtime.Version(),
 		GOOS:           runtime.GOOS,
@@ -234,7 +207,7 @@ func writeBenchJSON(n, best int, cfg experiments.Config) error {
 	add := func(name string, fn func(b *testing.B)) {
 		fmt.Fprintf(os.Stderr, "benchtables: running %s...\n", name)
 		r := testing.Benchmark(fn)
-		e := benchEntry{
+		e := benchrec.Entry{
 			Name:        name,
 			Runs:        r.N,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
@@ -263,12 +236,8 @@ func writeBenchJSON(n, best int, cfg experiments.Config) error {
 		suite(quiet, add)
 	}
 
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
 	path := fmt.Sprintf("BENCH_%d.json", n)
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+	if err := rec.Write(path); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "benchtables: wrote %s (%d benchmarks)\n", path, len(rec.Benchmarks))
