@@ -35,3 +35,16 @@ func TestMedianKeepsMedianPass(t *testing.T) {
 		t.Fatalf("even count: A median %v, want the lower median 20", got)
 	}
 }
+
+// TestNewFirstAlternates pins the run order: within a pair the side that
+// runs first alternates from benchmark to benchmark, and each benchmark
+// alternates from pair to pair.
+func TestNewFirstAlternates(t *testing.T) {
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			if newFirst(i, j) == newFirst(i, j+1) || newFirst(i, j) == newFirst(i+1, j) {
+				t.Fatalf("pair %d benchmark %d: order does not alternate", i, j)
+			}
+		}
+	}
+}

@@ -9,6 +9,8 @@
 //	benchtables -fig4 -updates 2000  # dynamic experiment, shorter run
 //	benchtables -scale 0.5           # half-size corpora
 //	benchtables -json 1 -scale 0.08  # machine-readable perf record BENCH_1.json
+//	benchtables -json 1 -bench '^ServeStream/'  # record only the matching benchmarks
+//	benchtables -list                # names of the -json suite's benchmarks
 //
 // To record a baseline beside a candidate for the drift gate, use
 // cmd/benchpair, which runs this command's -json pass from both trees.
@@ -24,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"testing"
@@ -56,6 +59,8 @@ func main() {
 
 		jsonN = flag.Int("json", 0, "write BENCH_<n>.json with ns/op, B/op and allocs/op per benchmark (0 = off)")
 		best  = flag.Int("best", 1, "with -json: run the suite N times and record each benchmark's fastest run (noise floor on loaded machines)")
+		bench = flag.String("bench", "", "with -json: run only the benchmarks whose name matches this regular expression")
+		list  = flag.Bool("list", false, "print the names of the -json suite's benchmarks and exit")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
@@ -103,11 +108,19 @@ func main() {
 	cfg.GnMin = *gnMin
 	cfg.GnMax = *gnMax
 
+	if *list {
+		suite(cfg, func(name string, _ func() func(*testing.B)) { fmt.Println(name) })
+		return
+	}
 	if *jsonN > 0 {
 		if *best < 1 {
 			*best = 1
 		}
-		if err := writeBenchJSON(*jsonN, *best, cfg); err != nil {
+		filter, err := regexp.Compile(*bench)
+		if err != nil {
+			fail(err)
+		}
+		if err := writeBenchJSON(*jsonN, *best, filter, cfg); err != nil {
 			fail(err)
 		}
 		return
@@ -185,8 +198,10 @@ func fail(err error) {
 // makes sense when both sides used the same -best. When the host's
 // speed drifts between stretches of minutes, records taken one after
 // the other still disagree; cmd/benchpair records a baseline and a
-// candidate from interleaved passes instead.
-func writeBenchJSON(n, best int, cfg experiments.Config) error {
+// candidate from interleaved runs instead, one benchmark at a time
+// through filter. Only benchmarks whose name filter matches are built
+// and run; a filter that matches none is an error.
+func writeBenchJSON(n, best int, filter *regexp.Regexp, cfg experiments.Config) error {
 	quiet := cfg
 	quiet.Out = nil
 	rec := benchrec.Record{
@@ -204,9 +219,12 @@ func writeBenchJSON(n, best int, cfg experiments.Config) error {
 		rec.BestOf = best
 	}
 	pass := 0
-	add := func(name string, fn func(b *testing.B)) {
+	add := func(name string, mk func() func(b *testing.B)) {
+		if !filter.MatchString(name) {
+			return
+		}
 		fmt.Fprintf(os.Stderr, "benchtables: running %s...\n", name)
-		r := testing.Benchmark(fn)
+		r := testing.Benchmark(mk())
 		e := benchrec.Entry{
 			Name:        name,
 			Runs:        r.N,
@@ -236,6 +254,9 @@ func writeBenchJSON(n, best int, cfg experiments.Config) error {
 		suite(quiet, add)
 	}
 
+	if len(rec.Benchmarks) == 0 {
+		return fmt.Errorf("-bench %q matches no benchmark (see -list)", filter)
+	}
 	path := fmt.Sprintf("BENCH_%d.json", n)
 	if err := rec.Write(path); err != nil {
 		return err
@@ -245,55 +266,62 @@ func writeBenchJSON(n, best int, cfg experiments.Config) error {
 }
 
 // suite enumerates every benchmark of the BENCH record in order through
-// add — one call per (name, function) pair, repeated per -best pass.
-func suite(quiet experiments.Config, add func(string, func(b *testing.B))) {
-	add("Table3", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			experiments.Table3(quiet)
+// add — one call per name, repeated per -best pass. Each benchmark comes
+// as a constructor, so inputs are built only for the benchmarks add runs.
+func suite(quiet experiments.Config, add func(string, func() func(b *testing.B))) {
+	add("Table3", func() func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				experiments.Table3(quiet)
+			}
 		}
 	})
-	add("StaticCompression", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			experiments.Static(quiet)
+	add("StaticCompression", func() func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				experiments.Static(quiet)
+			}
 		}
 	})
 	for _, short := range benchsuite.MicroShorts {
-		add("CompressTreeRePair/"+short, benchsuite.CompressBench(short))
+		add("CompressTreeRePair/"+short, func() func(*testing.B) { return benchsuite.CompressBench(short) })
 	}
 	for _, short := range benchsuite.MicroShorts {
-		add("RecompressGrammarRePair/"+short, benchsuite.RecompressBench(short))
+		add("RecompressGrammarRePair/"+short, func() func(*testing.B) { return benchsuite.RecompressBench(short) })
 	}
 	for _, short := range benchsuite.MicroShorts {
-		add("StoreUpdateStream/"+short, benchsuite.StoreUpdateStreamBench(short))
+		add("StoreUpdateStream/"+short, func() func(*testing.B) { return benchsuite.StoreUpdateStreamBench(short) })
 	}
 	for _, short := range benchsuite.MicroShorts {
-		add("PerOpUpdateStream/"+short, benchsuite.PerOpUpdateStreamBench(short))
+		add("PerOpUpdateStream/"+short, func() func(*testing.B) { return benchsuite.PerOpUpdateStreamBench(short) })
 	}
 	for _, short := range benchsuite.MicroShorts {
 		for _, m := range benchsuite.DurableFsyncModes {
 			add(fmt.Sprintf("StoreUpdateStreamDurable/%s/fsync=%s", short, m.Name),
-				benchsuite.StoreUpdateStreamDurableBench(short, m.Fsync))
+				func() func(*testing.B) { return benchsuite.StoreUpdateStreamDurableBench(short, m.Fsync) })
 		}
 	}
 	for _, shards := range benchsuite.ShardedShardCounts {
 		add(fmt.Sprintf("UpdateStreamSharded/XM/docs=%d/shards=%d", benchsuite.ShardedDocs, shards),
-			benchsuite.ShardedUpdateStreamBench("XM", shards, benchsuite.ShardedDocs))
+			func() func(*testing.B) {
+				return benchsuite.ShardedUpdateStreamBench("XM", shards, benchsuite.ShardedDocs)
+			})
 	}
 	for _, short := range benchsuite.MicroShorts {
-		add("StoreReadStream/"+short, benchsuite.StoreReadStreamBench(short))
+		add("StoreReadStream/"+short, func() func(*testing.B) { return benchsuite.StoreReadStreamBench(short) })
 	}
 	for _, short := range benchsuite.MicroShorts {
-		add("StorePointQuery/"+short, benchsuite.StorePointQueryBench(short, true))
+		add("StorePointQuery/"+short, func() func(*testing.B) { return benchsuite.StorePointQueryBench(short, true) })
 	}
 	for _, short := range benchsuite.MicroShorts {
-		add("StorePointQueryNaive/"+short, benchsuite.StorePointQueryBench(short, false))
+		add("StorePointQueryNaive/"+short, func() func(*testing.B) { return benchsuite.StorePointQueryBench(short, false) })
 	}
 	add(fmt.Sprintf("ShardedTiered/XM/docs=%d", benchsuite.TieredDocs),
-		benchsuite.ShardedTieredBench("XM", benchsuite.TieredDocs))
+		func() func(*testing.B) { return benchsuite.ShardedTieredBench("XM", benchsuite.TieredDocs) })
 	for _, short := range benchsuite.MicroShorts {
 		add(fmt.Sprintf("ServeStream/%s/conns=%d", short, benchsuite.ServeConns),
-			benchsuite.ServeStreamBench(short))
+			func() func(*testing.B) { return benchsuite.ServeStreamBench(short) })
 	}
 }

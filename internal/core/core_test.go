@@ -74,21 +74,21 @@ func TestResolutionAcrossRules(t *testing.T) {
 	_, _ = A, C
 	ix := newOccIndex(g, 4)
 	// Root chain of B resolves to the b terminal.
-	res := ix.resolveRoot(B)
+	res := ix.perRule[B].root
 	if res.label != b {
 		t.Fatalf("rootTerm(B) = %d, want b=%d", res.label, b)
 	}
 	// Parent of B's parameter y1 is the b node itself at child index 1.
-	pp := ix.resolveParamParent(B, 1)
+	pp := ix.perRule[B].params[0]
 	if pp.label != b || pp.idx != 1 {
 		t.Fatalf("paramParent(B,1) = (%d,%d), want (b,1)", pp.label, pp.idx)
 	}
 	// Parent of A's y1 is the root a at index 1; of y2 the inner a at 2.
-	pp = ix.resolveParamParent(A, 1)
+	pp = ix.perRule[A].params[0]
 	if pp.label != a || pp.idx != 1 {
 		t.Fatalf("paramParent(A,1) = (%d,%d), want (a,1)", pp.label, pp.idx)
 	}
-	pp = ix.resolveParamParent(A, 2)
+	pp = ix.perRule[A].params[1]
 	if pp.label != a || pp.idx != 2 {
 		t.Fatalf("paramParent(A,2) = (%d,%d), want (a,2)", pp.label, pp.idx)
 	}
@@ -108,8 +108,8 @@ func TestReplaceRoundGrammar1(t *testing.T) {
 		d := digram.Digram{A: a, I: 1, B: b}
 		x := g.Syms.Fresh("X", d.Rank(g.Syms))
 		r := newReplacer(g, ix, newScratch(), d, x, optimized)
-		edited, deleted := r.run()
-		ix.refresh(edited, deleted)
+		edited, _ := r.run()
+		ix.refresh(edited)
 
 		if err := g.Validate(); err != nil {
 			t.Fatalf("optimized=%v: invalid after replacement: %v\n%s", optimized, err, g)

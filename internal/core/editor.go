@@ -4,66 +4,82 @@
 package core
 
 import (
+	"repro/internal/digram"
 	"repro/internal/grammar"
 	"repro/internal/xmltree"
 )
 
-// locEntry is one slot of the editor's dense parent table. self guards
-// against stale Node.Aux values: an entry speaks for node n only when
-// locs[n.Aux].self == n — anything else means n was registered by an
-// earlier editor session (or never) and must be (re)registered.
-type locEntry struct {
-	self   *xmltree.Node // the node this entry belongs to
-	parent *xmltree.Node // nil for the rule root
-	idx    int32         // child index within parent
-}
-
 // editor wraps one rule body with a parent/child-index table so that
 // inlining steps (which splice trees in place) stay O(size of the
-// inlined body) instead of re-walking the whole rule. The table is a
-// dense slice indexed through Node.Aux — registering a node stamps its
-// slot index into the node — replacing the pointer-keyed map that was
-// rebuilt (and rehashed) on every rule visit. Editors are pooled by the
-// per-run scratch; locs keeps its capacity between uses and is truncated
-// on reacquisition, so steady-state visits allocate nothing.
+// inlined body) instead of re-walking the whole rule.
+//
+// A grammar rule's editor reads and writes the occurrence index's node
+// table, which always covers every live rule, and reports each node it
+// creates, removes or moves to the index (place / unlink); opening it
+// costs nothing. A version template's editor (ix == nil) owns a private
+// table, filled by one walk of the template copy. Editors are pooled by
+// the per-run scratch; the private table keeps its capacity.
 type editor struct {
-	g     *grammar.Grammar
 	rule  *grammar.Rule
 	arena *xmltree.Arena
-	locs  []locEntry
+	ix    *occIndex  // non-nil: rule is a grammar rule tracked by ix
+	tab   *nodeTable // ix.tab, or own
+	own   nodeTable
 }
 
-func (ed *editor) reset(g *grammar.Grammar, rule *grammar.Rule, arena *xmltree.Arena) {
-	ed.g = g
+// reset opens a template editor on a rule body that is not part of the
+// grammar.
+func (ed *editor) reset(rule *grammar.Rule, arena *xmltree.Arena) {
 	ed.rule = rule
 	ed.arena = arena
-	ed.locs = ed.locs[:0]
+	ed.ix = nil
+	ed.tab = &ed.own
+	ed.own.reset()
 	rule.RHS.WalkParent(func(n, p *xmltree.Node, i int) bool {
-		ed.setLoc(n, p, i)
+		ed.own.put(n, p, i)
 		return true
 	})
 }
 
-// setLoc records n's parent entry, reusing n's existing slot when n is
-// already registered in this session and appending a fresh one otherwise.
+// open opens an editor on grammar rule rule, backed by the index.
+func (ed *editor) open(ix *occIndex, rule *grammar.Rule, arena *xmltree.Arena) {
+	ed.rule = rule
+	ed.arena = arena
+	ed.ix = ix
+	ed.tab = &ix.tab
+}
+
+// setLoc records that n sits at child index idx under parent.
 func (ed *editor) setLoc(n, parent *xmltree.Node, idx int) {
-	if a := n.Aux; uint64(a) < uint64(len(ed.locs)) && ed.locs[a].self == n {
-		ed.locs[a].parent = parent
-		ed.locs[a].idx = int32(idx)
-		return
+	if ed.ix != nil {
+		ed.ix.place(n, parent, idx, ed.rule.ID)
+	} else {
+		ed.own.put(n, parent, idx)
 	}
-	n.Aux = int32(len(ed.locs))
-	ed.locs = append(ed.locs, locEntry{self: n, parent: parent, idx: int32(idx)})
 }
 
 // parent returns the current parent of n within the rule (nil for root)
-// and n's child index in it. An unregistered node reads as a root,
-// matching the zero value the old map returned on a miss.
+// and n's child index in it. An unregistered node reads as a root.
 func (ed *editor) parent(n *xmltree.Node) (*xmltree.Node, int) {
-	if a := n.Aux; uint64(a) < uint64(len(ed.locs)) && ed.locs[a].self == n {
-		return ed.locs[a].parent, int(ed.locs[a].idx)
+	if e := ed.tab.get(n); e != nil {
+		return e.parent, int(e.idx)
 	}
 	return nil, 0
+}
+
+// replace puts sub where old was (rule root or a child slot) and returns
+// old's parent and child index.
+func (ed *editor) replace(old, sub *xmltree.Node) (*xmltree.Node, int) {
+	p, i := ed.parent(old)
+	if p == nil {
+		ed.rule.RHS = sub
+	} else {
+		p.Children[i] = sub
+	}
+	if ed.ix != nil {
+		ed.ix.unlink(old)
+	}
+	return p, i
 }
 
 // splice replaces the node old (which must be in the rule) by sub,
@@ -71,12 +87,7 @@ func (ed *editor) parent(n *xmltree.Node) (*xmltree.Node, int) {
 // the subtrees listed in keep (whose entries are already correct because
 // the subtrees were simply relocated).
 func (ed *editor) splice(old, sub *xmltree.Node, keep []*xmltree.Node) {
-	p, i := ed.parent(old)
-	if p == nil {
-		ed.rule.RHS = sub
-	} else {
-		p.Children[i] = sub
-	}
+	p, i := ed.replace(old, sub)
 	var walk func(n, parent *xmltree.Node, idx int)
 	walk = func(n, parent *xmltree.Node, idx int) {
 		ed.setLoc(n, parent, idx)
@@ -102,40 +113,66 @@ func (ed *editor) inlineCall(call *xmltree.Node, body *xmltree.Node) *xmltree.No
 	return sub
 }
 
-// inlineRule inlines the grammar rule called at node call.
-func (ed *editor) inlineRule(call *xmltree.Node) *xmltree.Node {
-	callee := ed.g.Rule(call.Label.ID)
-	return ed.inlineCall(call, callee.RHS)
+// replaceOccurrences replaces the explicit occurrences of digram d at the
+// given anchors — each the tree child of one isolated occurrence — by
+// nodes labeled with the generated terminal x, and returns the number of
+// replacements. The result is the one a top-down greedy scan of the whole
+// body produces (the generalization of left-greedy matching the paper
+// mandates in Section III-C): every explicit occurrence of the digram
+// lies at an anchor, and an equal-label digram is paired along its chain
+// from the chain's top.
+func (ed *editor) replaceOccurrences(anchors []*xmltree.Node, d digram.Digram, x int32) int {
+	a, b := xmltree.Term(d.A), xmltree.Term(d.B)
+	i := d.I - 1
+	n := 0
+	for _, w := range anchors {
+		e := ed.tab.get(w)
+		if e == nil || e.flags&nodeDead != 0 {
+			continue // consumed by an earlier pair on its chain
+		}
+		v := e.parent
+		if v == nil || v.Label != a || int(e.idx) != i || w.Label != b {
+			continue
+		}
+		if !d.EqualLabels() {
+			ed.replacePair(v, w, i, x)
+			n++
+			continue
+		}
+		for {
+			p, pi := ed.parent(v)
+			if p == nil || p.Label != a || pi != i {
+				break
+			}
+			v = p
+		}
+		for v.Label == a {
+			w := v.Children[i]
+			if w.Label != a {
+				break
+			}
+			next := w.Children[i]
+			ed.replacePair(v, w, i, x)
+			n++
+			v = next
+		}
+	}
+	return n
 }
 
-// replaceDigramScan replaces every explicit occurrence of the digram
-// (a, i, b) in the rule body by a node labeled with the generated
-// terminal x, top-down greedily (the generalization of left-greedy
-// matching the paper mandates in Section III-C). Returns the number of
-// replacements. The editor's maps are NOT maintained; callers must treat
-// the editor as spent afterwards (the occurrence index rescans the rule).
-func replaceDigramScan(rule *grammar.Rule, a int32, i int, b int32, x int32, arena *xmltree.Arena) int {
-	n := 0
-	var rec func(v *xmltree.Node) *xmltree.Node
-	rec = func(v *xmltree.Node) *xmltree.Node {
-		if v.Label == xmltree.Term(a) && i-1 < len(v.Children) {
-			w := v.Children[i-1]
-			if w.Label == xmltree.Term(b) {
-				nc := arena.Children(len(v.Children) - 1 + len(w.Children))
-				k := copy(nc, v.Children[:i-1])
-				k += copy(nc[k:], w.Children)
-				copy(nc[k:], v.Children[i:])
-				xn := arena.New(xmltree.Term(x))
-				xn.Children = nc
-				v = xn
-				n++
-			}
-		}
-		for j, c := range v.Children {
-			v.Children[j] = rec(c)
-		}
-		return v
+// replacePair replaces the explicit occurrence v –(i+1)→ w by an x node
+// holding v's other children with w's children in w's slot.
+func (ed *editor) replacePair(v, w *xmltree.Node, i int, x int32) {
+	nc := ed.arena.Children(len(v.Children) - 1 + len(w.Children))
+	k := copy(nc, v.Children[:i])
+	k += copy(nc[k:], w.Children)
+	copy(nc[k:], v.Children[i+1:])
+	xn := ed.arena.New(xmltree.Term(x))
+	xn.Children = nc
+	p, pi := ed.replace(v, xn)
+	ed.ix.unlink(w)
+	ed.setLoc(xn, p, pi)
+	for j, c := range nc {
+		ed.setLoc(c, xn, j)
 	}
-	rule.RHS = rec(rule.RHS)
-	return n
 }

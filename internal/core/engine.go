@@ -41,6 +41,7 @@ type Stats struct {
 // modified.
 func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
 	g := in.Clone()
+	syms := g.Syms.Len()
 	st := &Stats{InputSize: g.Size()}
 	ix := newOccIndex(g, opt.maxRank())
 	sc := newScratch()
@@ -62,12 +63,12 @@ func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
 		extraEdges += g.Syms.Rank(d.A) + g.Syms.Rank(d.B)
 
 		r := newReplacer(g, ix, sc, d, x, !opt.NoOptimize)
-		edited, deleted := r.run()
+		edited, _ := r.run()
 		st.Replaced += r.replaced
-		ix.refresh(edited, deleted)
+		ix.refresh(edited)
 
 		st.Rounds++
-		size := ix.totalNodes() - g.NumRules() + extraEdges
+		size := ix.nodes - g.NumRules() + extraEdges
 		st.Sizes = append(st.Sizes, size)
 		if size > st.MaxIntermediate {
 			st.MaxIntermediate = size
@@ -88,6 +89,9 @@ func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
 	})
 	g.GarbageCollect() // X rules for digrams whose uses all got re-replaced
 	st.PrunedRules = g.Prune()
+	// Every generated terminal is a nonterminal now; drop them from the
+	// table, or each run would leave one dead terminal per round behind.
+	g.Syms.Truncate(syms)
 	st.FinalSize = g.Size()
 	// Detach the rule bodies from the run's scratch arena: a single live
 	// node would otherwise keep its whole allocation chunk (and every dead

@@ -30,6 +30,29 @@ type ruleOccs struct {
 	nodes        int                           // node count of the RHS
 	paramParents []parentRef                   // local parent of y1..yk
 	usageApplied float64                       // usage weight its gens contribute with
+
+	// root and params are the rule's resolved interface: the terminal
+	// node its root chain resolves to (TREECHILD, Algorithm 2) and, per
+	// parameter y_i, the terminal node above it with the 1-based child
+	// index of that edge (TREEPARENT, Algorithm 3).
+	root   resolved
+	params []resolved
+
+	// pend lists nodes whose in-edge awaits evaluation at the next
+	// refresh; cross lists nodes whose in-edge is an equal-label digram
+	// across a call (re-checked whenever the rule is dirty, because the
+	// overlap test reads another rule's generators).
+	pend  []*xmltree.Node
+	cross []*xmltree.Node
+
+	// hasRes: the interface has been computed once. Per-refresh
+	// bookkeeping: the interface labels at refresh start (prev, valid if
+	// prevHad) and whether they were saved, the dirty mark and the
+	// worklist mark.
+	hasRes         bool
+	prev           iface
+	saved, prevHad bool
+	dirty, queued  bool
 }
 
 // call is one distinct callee of a rule and its number of call sites.
@@ -49,77 +72,186 @@ type resolved struct {
 
 // iface is the label-level interface of a rule: the terminal its root
 // chain resolves to and, per parameter, the terminal above it. When a
-// rule's interface changes, every caller's digrams may change, so callers
-// are rescanned.
+// rule's interface changes, every caller's digrams may change, so the
+// callers' call-site edges are re-evaluated.
 type iface struct {
 	root   int32
 	params []resolved
 }
 
-func (a *iface) equal(b *iface) bool {
-	if a == nil || b == nil {
-		return a == b
+// ifaceOf copies the label-level interface of a rule into dst.
+func (ro *ruleOccs) ifaceOf(dst *iface) {
+	dst.root = ro.root.label
+	dst.params = dst.params[:0]
+	for _, p := range ro.params {
+		dst.params = append(dst.params, resolved{label: p.label, idx: p.idx})
 	}
-	if a.root != b.root || len(a.params) != len(b.params) {
+}
+
+// sameIface reports whether the rule's current interface has the labels
+// of f.
+func (ro *ruleOccs) sameIface(f *iface) bool {
+	if ro.root.label != f.root || len(ro.params) != len(f.params) {
 		return false
 	}
-	for i := range a.params {
-		if a.params[i].label != b.params[i].label || a.params[i].idx != b.params[i].idx {
+	for i, p := range ro.params {
+		if p.label != f.params[i].label || p.idx != f.params[i].idx {
 			return false
 		}
 	}
 	return true
 }
 
+// Node flags kept in nodeInfo.flags.
+const (
+	nodePending     uint8 = 1 << iota // in-edge awaits evaluation
+	nodeDead                          // left the grammar this round
+	nodeCross                         // in-edge is an equal-label digram across a call
+	nodeCrossListed                   // present in the rule's cross list
+)
+
+// nodeInfo is the index's entry for one node of a live rule body: its
+// place in the body, the digram it currently generates an occurrence of,
+// and (for calls) its position in the callee's call-site list.
+type nodeInfo struct {
+	self   *xmltree.Node // the node this entry belongs to
+	parent *xmltree.Node // nil for the rule root
+	idx    int32         // child index within parent
+	rule   int32         // rule whose body holds the node
+	gen    digram.Key    // digram of the stored generator (0 = none)
+	pos    int32         // position in the rule's generator list of gen
+	site   int32         // position in the callee's call-site list
+	flags  uint8
+}
+
+// nodeTable is a dense node → nodeInfo table indexed through Node.Aux.
+// An entry speaks for node n only when entries[n.Aux].self == n: nodes
+// move freely between owners without Aux being reset, so anything else
+// means n is not registered here. Released slots are recycled.
+type nodeTable struct {
+	entries []nodeInfo
+	free    []int32
+}
+
+func (t *nodeTable) get(n *xmltree.Node) *nodeInfo {
+	if a := n.Aux; uint64(a) < uint64(len(t.entries)) && t.entries[a].self == n {
+		return &t.entries[a]
+	}
+	return nil
+}
+
+// put records n's parent, registering n first if needed; fresh reports a
+// new registration. The returned pointer is valid until the next put.
+func (t *nodeTable) put(n, parent *xmltree.Node, idx int) (e *nodeInfo, fresh bool) {
+	if e := t.get(n); e != nil {
+		e.parent = parent
+		e.idx = int32(idx)
+		return e, false
+	}
+	var a int32
+	if k := len(t.free); k > 0 {
+		a = t.free[k-1]
+		t.free = t.free[:k-1]
+	} else {
+		a = int32(len(t.entries))
+		t.entries = append(t.entries, nodeInfo{})
+	}
+	n.Aux = a
+	t.entries[a] = nodeInfo{self: n, parent: parent, idx: int32(idx)}
+	return &t.entries[a], true
+}
+
+// release frees n's slot for reuse.
+func (t *nodeTable) release(n *xmltree.Node) {
+	t.entries[n.Aux] = nodeInfo{}
+	t.free = append(t.free, n.Aux)
+}
+
+// reset empties the table, keeping its capacity.
+func (t *nodeTable) reset() {
+	clear(t.entries)
+	t.entries = t.entries[:0]
+	t.free = t.free[:0]
+}
+
 // occIndex maintains, incrementally across replacement rounds, the
 // Algorithm 4 (RETRIEVEOCCS) state: per-rule digram occurrence generators,
 // usage-weighted global frequencies, and the non-overlap bookkeeping for
 // equal-label digrams. The global frequencies live in the digram queue,
-// which is their only copy; the equal-label sets are keyed by packed
-// digram keys in an open-addressed table. All per-rule state lives in
-// dense rule-ID-indexed slices (rule IDs are dense and never reused), so
-// per-rule lookups on the refresh path do no hashing.
+// which is their only copy.
+//
+// The index owns a node table covering every node of every live rule:
+// parent, generated digram and call-site position. Replacement rounds
+// report each node they create, remove or re-parent (place / unlink), so
+// a refresh re-evaluates only the edges next to those nodes, the
+// call-site edges of callers whose callee interface changed, and the
+// equal-label edges whose overlap test depends on them; a whole rule
+// only when the round created it. Reference counts are the lengths of the per-rule call-site lists;
+// a rule whose count reaches 0 is collected with a cascade.
+//
+// All per-rule state lives in dense rule-ID-indexed slices (rule IDs are
+// dense and never reused), so per-rule lookups do no hashing.
 type occIndex struct {
 	g       *grammar.Grammar
 	maxRank int
 
-	perRule []*ruleOccs  // by rule ID; nil = deleted / never seen
-	usage   []float64    // by rule ID
-	queue   digram.Queue // usage-weighted global frequency of every digram
-	callBuf []int32      // rebuildLocal scratch: callee IDs of one rule
-	// genSet holds, per equal-label digram, the set of stored generator
-	// nodes (all of which are terminal tree children); a candidate whose
-	// resolved tree parent is in this set would overlap (Alg. 4 line 11).
-	genSet digram.Table[map[*xmltree.Node]bool]
+	tab     nodeTable
+	perRule []*ruleOccs       // by rule ID; nil = deleted / never seen
+	sites   [][]*xmltree.Node // by callee rule ID: every call node
+	usage   []float64         // by rule ID
+	queue   digram.Queue      // usage-weighted global frequency of every digram
+	nodes   int               // summed RHS node count of all live rules
 
-	ifaces []*iface // by rule ID
-	// per-refresh resolution memos and scratch sets, reused across rounds
-	// (all by rule ID; cleared, not reallocated, between refreshes)
-	rootMemo  []*resolved
-	paramMemo [][]*resolved
-	changed   []bool
-	dirty     []bool
-	topoState []uint8
-	topoBuf   []int32
+	dead []*xmltree.Node // nodes unlinked since the last round end
+	zero []int32         // rules whose reference count dropped to 0
+
+	// round numbers replacement rounds; refs0 holds a rule's reference
+	// count at the start of round refs0At (saved on its first change).
+	round          int32
+	refs0, refs0At []int32
+
+	// orderValid: topoBuf holds topoAntiSL's result for the current call
+	// graph (from a refresh until the next round edits a rule).
+	orderValid bool
+
+	// resolutions counts in-edge evaluations (each resolves one tree
+	// parent and one tree child); tests use it to pin a round's work to
+	// what the round changed.
+	resolutions int
+
+	// refresh scratch, reused across rounds
+	work, resTouched, dirtyRules []int32
+	topoState                    []uint8
+	topoBuf                      []int32
+	pathBuf                      []int32
 }
 
 func newOccIndex(g *grammar.Grammar, maxRank int) *occIndex {
 	ix := &occIndex{g: g, maxRank: maxRank}
-	ix.refresh(g.RuleIDs(), nil)
+	ix.grow()
+	ids := g.RuleIDs()
+	for _, rid := range ids {
+		ix.addRule(rid)
+	}
+	// Rules no live rule calls are unreachable (the start rule aside);
+	// they are collected at the end of the first round, as the
+	// reachability sweep they replace did.
+	for _, rid := range ids {
+		if rid != g.Start && len(ix.sites[rid]) == 0 {
+			ix.zero = append(ix.zero, rid)
+		}
+	}
+	ix.refresh(ids)
 	return ix
 }
 
 // grow sizes every dense table for the rule IDs the grammar has assigned
-// so far; called at each refresh (replacement rounds create rules).
+// so far (replacement rounds create rules).
 func (ix *occIndex) grow() {
 	n := int(ix.g.MaxRuleID())
 	ix.perRule = grammar.GrowTo(ix.perRule, n)
+	ix.sites = grammar.GrowTo(ix.sites, n)
 	ix.usage = grammar.GrowTo(ix.usage, n)
-	ix.ifaces = grammar.GrowTo(ix.ifaces, n)
-	ix.rootMemo = grammar.GrowTo(ix.rootMemo, n)
-	ix.paramMemo = grammar.GrowTo(ix.paramMemo, n)
-	ix.changed = grammar.GrowTo(ix.changed, n)
-	ix.dirty = grammar.GrowTo(ix.dirty, n)
 	ix.topoState = grammar.GrowTo(ix.topoState, n)
 }
 
@@ -148,111 +280,134 @@ func (ix *occIndex) generators(rid int32, d digram.Digram) []*xmltree.Node {
 	return nil
 }
 
-// totalNodes returns the summed RHS node count over all rules (tracked for
-// intermediate-size instrumentation).
-func (ix *occIndex) totalNodes() int {
-	t := 0
-	for _, ro := range ix.perRule {
-		if ro != nil {
-			t += ro.nodes
-		}
+// beginRound starts a replacement round: refCount0 answers with the
+// reference counts as they are now until the next beginRound.
+func (ix *occIndex) beginRound() { ix.round++ }
+
+// refCount0 returns |ref_G(Q)| at the start of the round (0 for rules
+// born since). Algorithm 8's export condition must see the pre-round
+// counts: a rule referenced from several sites keeps (or shares) its
+// fragments via export rules even when every one of those sites inlines
+// a version during this round — evaluating against live counts would
+// let the last inline copy the full body and double the grammar level
+// by level.
+func (ix *occIndex) refCount0(id int32) int {
+	if int(id) < len(ix.refs0At) && ix.refs0At[id] == ix.round {
+		return int(ix.refs0[id])
 	}
-	return t
+	if int(id) < len(ix.sites) {
+		return len(ix.sites[id])
+	}
+	return 0
 }
 
-// refresh brings the index up to date after a replacement round that
-// edited (or created) the given rules and deleted others. Passing all
-// rule IDs as edited performs the initial full build.
-func (ix *occIndex) refresh(edited []int32, deleted []int32) {
-	// Replacement rounds create rules; size every dense table first.
+// saveRef0 keeps callee c's round-start reference count before its first
+// change of the round.
+func (ix *occIndex) saveRef0(c int32) {
+	ix.refs0 = grammar.GrowTo(ix.refs0, int(c)+1)
+	ix.refs0At = grammar.GrowTo(ix.refs0At, int(c)+1)
+	if ix.refs0At[c] != ix.round {
+		ix.refs0At[c] = ix.round
+		ix.refs0[c] = int32(len(ix.sites[c]))
+	}
+}
+
+// addRule registers every node of rule rid (a rule the index has not
+// seen: the initial grammar or an export rule born this round) and
+// queues all its edges for evaluation.
+func (ix *occIndex) addRule(rid int32) {
 	ix.grow()
-	// Drop deleted rules entirely.
-	for _, rid := range deleted {
-		ix.dropContributions(rid)
-		ix.perRule[rid] = nil
-		ix.ifaces[rid] = nil
+	r := ix.g.Rule(rid)
+	ro := &ruleOccs{
+		paramParents: make([]parentRef, r.Rank),
+		params:       make([]resolved, r.Rank),
 	}
-	// Phase A: rebuild local structure (calls, parameter parents, node
-	// counts) for every edited rule, so interface resolution below sees
-	// current trees.
-	for _, rid := range edited {
-		if ix.g.Rule(rid) == nil {
-			continue
-		}
-		ix.rebuildLocal(rid)
-	}
-	// Phase B: recompute every rule's interface with fresh memos and
-	// collect the rules whose interface changed.
-	clear(ix.rootMemo)
-	clear(ix.paramMemo)
-	changed := ix.changed
-	clear(changed)
-	nChanged := 0
-	for _, rid := range ix.g.RuleIDs() {
-		ni := ix.computeIface(rid)
-		if !ni.equal(ix.ifaces[rid]) {
-			changed[rid] = true
-			nChanged++
-		}
-		ix.ifaces[rid] = ni
-	}
-	// Phase C: dirty = edited ∪ callers of interface-changed rules.
-	dirty := ix.dirty
-	clear(dirty)
-	for _, rid := range edited {
-		if ix.g.Rule(rid) != nil {
-			dirty[rid] = true
-		}
-	}
-	if nChanged > 0 {
-		for rid, ro := range ix.perRule {
-			if ro == nil || dirty[rid] {
-				continue
-			}
-			for _, c := range ro.calls {
-				if changed[c.rule] {
-					dirty[rid] = true
-					break
-				}
-			}
-		}
-	}
-	// Phase D: rescan dirty rules in anti-SL order (callees first), which
-	// keeps the equal-label greedy alignment close to Algorithm 4's.
-	order := ix.topoAntiSL()
-	for _, rid := range order {
-		if dirty[rid] {
-			ix.rescanGenerators(rid)
-		}
-	}
-	// Phase E: recompute usage and fix up the weight every rule's
-	// generators contribute with.
-	ix.refreshUsage(order)
-}
-
-// dropContributions removes rule rid's generator contributions from the
-// global counts and the equal-label sets.
-func (ix *occIndex) dropContributions(rid int32) {
-	ro := ix.perRule[rid]
-	if ro == nil {
-		return
-	}
-	ro.gens.Range(func(k digram.Key, gens *[]*xmltree.Node) bool {
-		if len(*gens) == 0 {
-			return true
-		}
-		d := k.Digram()
-		ix.addCount(d, -ro.usageApplied*float64(len(*gens)))
-		if d.EqualLabels() {
-			if set, _ := ix.genSet.Get(k); set != nil {
-				for _, gnode := range *gens {
-					delete(set, gnode)
-				}
-			}
-		}
+	ix.perRule[rid] = ro
+	r.RHS.WalkParent(func(n, p *xmltree.Node, i int) bool {
+		ix.place(n, p, i, rid)
 		return true
 	})
-	ro.gens.Clear()
+}
+
+// place records that node n now sits at child index idx under parent in
+// rule rid — a node the round created, or one it moved — and queues its
+// in-edge for evaluation.
+func (ix *occIndex) place(n, parent *xmltree.Node, idx int, rid int32) {
+	ix.orderValid = false
+	e, fresh := ix.tab.put(n, parent, idx)
+	ro := ix.perRule[rid]
+	if fresh {
+		e.rule = rid
+		ro.nodes++
+		ix.nodes++
+		if n.Label.Kind == xmltree.Nonterminal {
+			ix.addSite(n, e, ro)
+		}
+	}
+	if n.Label.Kind == xmltree.Parameter {
+		ro.paramParents[n.Label.ID-1] = parentRef{node: parent, idx: idx}
+	}
+	ix.markPending(n, e, ro)
+}
+
+// unlink records that node n left its rule body. Its generator is
+// dropped at the round's end (flushDead): the round may still be reading
+// the generator lists.
+func (ix *occIndex) unlink(n *xmltree.Node) {
+	ix.orderValid = false
+	e := ix.tab.get(n)
+	e.flags |= nodeDead
+	ro := ix.perRule[e.rule]
+	ro.nodes--
+	ix.nodes--
+	if n.Label.Kind == xmltree.Nonterminal {
+		ix.removeSite(n, e, ro)
+	}
+	ix.dead = append(ix.dead, n)
+}
+
+func (ix *occIndex) markPending(n *xmltree.Node, e *nodeInfo, ro *ruleOccs) {
+	if e.flags&nodePending == 0 {
+		e.flags |= nodePending
+		ro.pend = append(ro.pend, n)
+	}
+}
+
+// addSite registers call node n (held by the rule of ro) with its callee.
+func (ix *occIndex) addSite(n *xmltree.Node, e *nodeInfo, ro *ruleOccs) {
+	c := n.Label.ID
+	ix.sites = grammar.GrowTo(ix.sites, int(c)+1) // c may be born this round
+	ix.saveRef0(c)
+	e.site = int32(len(ix.sites[c]))
+	ix.sites[c] = append(ix.sites[c], n)
+	i, ok := slices.BinarySearchFunc(ro.calls, c, func(x call, c int32) int { return int(x.rule - c) })
+	if ok {
+		ro.calls[i].n++
+	} else {
+		ro.calls = slices.Insert(ro.calls, i, call{rule: c, n: 1})
+	}
+}
+
+// removeSite unregisters call node n; a callee left without call sites
+// becomes a collection candidate.
+func (ix *occIndex) removeSite(n *xmltree.Node, e *nodeInfo, ro *ruleOccs) {
+	c := n.Label.ID
+	ix.saveRef0(c)
+	s := ix.sites[c]
+	last := len(s) - 1
+	if int(e.site) != last {
+		s[e.site] = s[last]
+		ix.tab.get(s[last]).site = e.site
+	}
+	s[last] = nil
+	ix.sites[c] = s[:last]
+	if last == 0 {
+		ix.zero = append(ix.zero, c)
+	}
+	i, _ := slices.BinarySearchFunc(ro.calls, c, func(x call, c int32) int { return int(x.rule - c) })
+	if ro.calls[i].n--; ro.calls[i].n == 0 {
+		ro.calls = slices.Delete(ro.calls, i, i+1)
+	}
 }
 
 func (ix *occIndex) addCount(d digram.Digram, delta float64) {
@@ -261,160 +416,341 @@ func (ix *occIndex) addCount(d digram.Digram, delta float64) {
 	}
 }
 
-// rebuildLocal re-derives the structural caches of one rule.
-func (ix *occIndex) rebuildLocal(rid int32) {
-	r := ix.g.Rule(rid)
-	ro := ix.perRule[rid]
-	if ro == nil {
-		ro = &ruleOccs{}
-		ix.perRule[rid] = ro
+// addGen stores node n as a generator of digram k in its rule.
+func (ix *occIndex) addGen(ro *ruleOccs, n *xmltree.Node, e *nodeInfo, k digram.Key) {
+	gp := ro.gens.Ref(k)
+	e.gen = k
+	e.pos = int32(len(*gp))
+	*gp = append(*gp, n)
+	ix.addCount(k.Digram(), ro.usageApplied)
+}
+
+// dropGen removes the node of entry e from its generator list.
+func (ix *occIndex) dropGen(ro *ruleOccs, e *nodeInfo) {
+	gp := ro.gens.Ref(e.gen)
+	s := *gp
+	last := len(s) - 1
+	if int(e.pos) != last {
+		s[e.pos] = s[last]
+		ix.tab.get(s[last]).pos = e.pos
 	}
-	callees := ix.callBuf[:0]
-	ro.paramParents = ro.paramParents[:0]
-	for i := 0; i < r.Rank; i++ {
-		ro.paramParents = append(ro.paramParents, parentRef{})
-	}
-	ro.nodes = 0
-	r.RHS.WalkParent(func(n, p *xmltree.Node, i int) bool {
-		ro.nodes++
-		switch n.Label.Kind {
-		case xmltree.Nonterminal:
-			callees = append(callees, n.Label.ID)
-		case xmltree.Parameter:
-			ro.paramParents[n.Label.ID-1] = parentRef{node: p, idx: i}
+	s[last] = nil
+	*gp = s[:last]
+	ix.addCount(e.gen.Digram(), -ro.usageApplied)
+	e.gen = 0
+}
+
+// isGen reports whether node n is a stored generator of digram k — for
+// equal-label digrams, the overlap test of Algorithm 4 line 11.
+func (ix *occIndex) isGen(n *xmltree.Node, k digram.Key) bool {
+	e := ix.tab.get(n)
+	return e != nil && e.gen == k
+}
+
+// flushDead drops the generators of every node unlinked this round and
+// frees their slots. Called once the round no longer reads generator
+// lists.
+func (ix *occIndex) flushDead() {
+	for _, n := range ix.dead {
+		e := ix.tab.get(n)
+		if e.gen != 0 {
+			ix.dropGen(ix.perRule[e.rule], e)
 		}
+		ix.tab.release(n)
+	}
+	clear(ix.dead)
+	ix.dead = ix.dead[:0]
+}
+
+// collect deletes every rule left without call sites (the start rule
+// aside), cascading into callees that lose their last call site, and
+// returns the deleted IDs in ascending order. This is exactly the set a
+// reachability sweep from the start rule would delete: the call relation
+// is acyclic and the counts are exact.
+func (ix *occIndex) collect() []int32 {
+	var deleted []int32
+	for len(ix.zero) > 0 {
+		rid := ix.zero[len(ix.zero)-1]
+		ix.zero = ix.zero[:len(ix.zero)-1]
+		if rid == ix.g.Start || ix.perRule[rid] == nil || len(ix.sites[rid]) > 0 {
+			continue
+		}
+		ix.deleteRule(rid)
+		deleted = append(deleted, rid)
+	}
+	slices.Sort(deleted)
+	return deleted
+}
+
+// deleteRule removes rule rid from the grammar and the index.
+func (ix *occIndex) deleteRule(rid int32) {
+	ix.orderValid = false
+	ro := ix.perRule[rid]
+	ro.gens.Range(func(k digram.Key, gens *[]*xmltree.Node) bool {
+		ix.addCount(k.Digram(), -ro.usageApplied*float64(len(*gens)))
 		return true
 	})
-	// Sort once here so topoAntiSL visits callees in ID order every round
-	// without re-sorting.
-	slices.Sort(callees)
-	ro.calls = ro.calls[:0]
-	for i, c := range callees {
-		if i > 0 && c == callees[i-1] {
-			ro.calls[len(ro.calls)-1].n++
-		} else {
-			ro.calls = append(ro.calls, call{rule: c, n: 1})
+	ix.g.Rule(rid).RHS.Walk(func(n *xmltree.Node) bool {
+		if n.Label.Kind == xmltree.Nonterminal {
+			ix.removeSite(n, ix.tab.get(n), ro)
 		}
-	}
-	ix.callBuf = callees
+		ix.tab.release(n)
+		return true
+	})
+	ix.nodes -= ro.nodes
+	ix.perRule[rid] = nil
+	ix.g.DeleteRule(rid)
 }
 
-// computeIface resolves the rule's root chain and parameter parents to
-// terminal labels (memoized per refresh).
-func (ix *occIndex) computeIface(rid int32) *iface {
-	r := ix.g.Rule(rid)
-	fi := &iface{params: make([]resolved, r.Rank)}
-	fi.root = ix.resolveRoot(rid).label
-	for i := 1; i <= r.Rank; i++ {
-		fi.params[i-1] = *ix.resolveParamParent(rid, i)
-	}
-	return fi
-}
-
-// resolveRoot implements TREECHILD's rule-root chain: the terminal node a
-// nonterminal generator's tree child resolves to (Algorithm 2).
-func (ix *occIndex) resolveRoot(rid int32) *resolved {
-	if r := ix.rootMemo[rid]; r != nil {
-		return r
-	}
-	root := ix.g.Rule(rid).RHS
-	var res *resolved
-	if root.Label.Kind == xmltree.Terminal {
-		res = &resolved{node: root, label: root.Label.ID}
-	} else {
-		res = ix.resolveRoot(root.Label.ID)
-	}
-	ix.rootMemo[rid] = res
-	return res
-}
-
-// resolveParamParent implements TREEPARENT's upward chain (Algorithm 3):
-// the terminal node directly above parameter y_i of rule rid in the
-// derived tree, and the 1-based child index of that edge.
-func (ix *occIndex) resolveParamParent(rid int32, i int) *resolved {
-	memo := ix.paramMemo[rid]
-	if memo == nil {
-		memo = make([]*resolved, ix.g.Rule(rid).Rank)
-		ix.paramMemo[rid] = memo
-	}
-	if memo[i-1] != nil {
-		return memo[i-1]
-	}
-	pr := ix.perRule[rid].paramParents[i-1]
-	var res *resolved
-	if pr.node.Label.Kind == xmltree.Terminal {
-		res = &resolved{node: pr.node, label: pr.node.Label.ID, idx: pr.idx + 1}
-	} else {
-		// y_i is the (pr.idx+1)-th argument of a nonterminal call: the
-		// real parent sits above that callee's parameter.
-		res = ix.resolveParamParent(pr.node.Label.ID, pr.idx+1)
-	}
-	memo[i-1] = res
-	return res
-}
-
-// resolveChildOf resolves the tree child of a generator node (Alg. 2).
-// Returned by value: this runs once per scanned node, and a pointer
-// result would heap-allocate on the terminal fast path.
+// resolveChildOf resolves the tree child of a generator node: the node
+// itself if terminal, else the callee's root chain (TREECHILD, Alg. 2).
 func (ix *occIndex) resolveChildOf(n *xmltree.Node) resolved {
 	if n.Label.Kind == xmltree.Terminal {
 		return resolved{node: n, label: n.Label.ID}
 	}
-	return *ix.resolveRoot(n.Label.ID)
+	return ix.perRule[n.Label.ID].root
 }
 
 // resolveParentOf resolves the tree parent of a node at child index i
-// (0-based) under p (Alg. 3).
+// (0-based) under p: p itself if terminal, else the terminal above the
+// callee's parameter y_{i+1} (TREEPARENT's upward chain, Alg. 3).
 func (ix *occIndex) resolveParentOf(p *xmltree.Node, i int) resolved {
 	if p.Label.Kind == xmltree.Terminal {
 		return resolved{node: p, label: p.Label.ID, idx: i + 1}
 	}
-	return *ix.resolveParamParent(p.Label.ID, i+1)
+	return ix.perRule[p.Label.ID].params[i]
 }
 
-// rescanGenerators re-derives rule rid's occurrence generators
-// (Algorithm 4's inner loop, lines 3–12) and updates global counts.
-func (ix *occIndex) rescanGenerators(rid int32) {
-	ix.dropContributions(rid)
-	r := ix.g.Rule(rid)
+// resolveRule recomputes the interface of rule rid from its own root and
+// parameter parents and its callees' stored interfaces, and reports
+// whether anything (node or label) changed.
+func (ix *occIndex) resolveRule(rid int32) bool {
 	ro := ix.perRule[rid]
-	u := ro.usageApplied
-	r.RHS.WalkParent(func(n, p *xmltree.Node, i int) bool {
-		if p == nil || n.Label.Kind == xmltree.Parameter {
-			return true
+	root := ix.g.Rule(rid).RHS
+	changed := false
+	nr := ix.resolveChildOf(root)
+	if nr != ro.root {
+		ro.root = nr
+		changed = true
+	}
+	for i, pr := range ro.paramParents {
+		np := ix.resolveParentOf(pr.node, pr.idx)
+		if np != ro.params[i] {
+			ro.params[i] = np
+			changed = true
 		}
+	}
+	return changed
+}
+
+// refresh brings the index up to date after a replacement round that
+// edited or created the given rules (rules it deleted are already gone,
+// see collect). Passing every rule ID performs the initial build.
+func (ix *occIndex) refresh(edited []int32) {
+	ix.grow()
+
+	// Interfaces: recompute the edited rules', then, transitively, the
+	// callers' of every rule whose resolution changed. The worklist may
+	// visit a caller before one of its callees settles; the callee's
+	// change re-queues it.
+	work := ix.work[:0]
+	push := func(rid int32) {
+		if ro := ix.perRule[rid]; ro != nil && !ro.queued {
+			ro.queued = true
+			work = append(work, rid)
+		}
+	}
+	for _, rid := range edited {
+		push(rid)
+	}
+	touched := ix.resTouched[:0]
+	for i := 0; i < len(work); i++ {
+		rid := work[i]
+		ro := ix.perRule[rid]
+		ro.queued = false
+		if !ro.saved {
+			ro.saved = true
+			ro.prevHad = ro.hasRes
+			ro.ifaceOf(&ro.prev)
+			touched = append(touched, rid)
+		}
+		if !ix.resolveRule(rid) && ro.hasRes {
+			continue
+		}
+		ro.hasRes = true
+		for _, c := range ix.sites[rid] {
+			push(ix.tab.get(c).rule)
+		}
+	}
+	ix.work = work
+
+	// Dirty rules: the edited ones, plus every caller of a rule whose
+	// interface labels changed; for those, the call-site edges (the call
+	// node's in-edge and its argument edges) are re-evaluated.
+	dirty := ix.dirtyRules[:0]
+	mark := func(rid int32) {
+		if ro := ix.perRule[rid]; !ro.dirty {
+			ro.dirty = true
+			dirty = append(dirty, rid)
+		}
+	}
+	for _, rid := range edited {
+		if ix.perRule[rid] != nil {
+			mark(rid)
+		}
+	}
+	for _, rid := range touched {
+		ro := ix.perRule[rid]
+		ro.saved = false
+		if ro.prevHad && ro.sameIface(&ro.prev) {
+			continue
+		}
+		for _, c := range ix.sites[rid] {
+			e := ix.tab.get(c)
+			cro := ix.perRule[e.rule]
+			mark(e.rule)
+			ix.markPending(c, e, cro)
+			for _, a := range c.Children {
+				ix.markPending(a, ix.tab.get(a), cro)
+			}
+		}
+	}
+	ix.resTouched = touched[:0]
+
+	// Equal-label edges across calls read another rule's generators in
+	// their overlap test, so a dirty rule re-checks all of them.
+	for _, rid := range dirty {
+		ro := ix.perRule[rid]
+		keep := ro.cross[:0]
+		for _, n := range ro.cross {
+			e := ix.tab.get(n)
+			if e == nil || e.flags&nodeCross == 0 {
+				if e != nil {
+					e.flags &^= nodeCrossListed
+				}
+				continue
+			}
+			keep = append(keep, n)
+			ix.markPending(n, e, ro)
+		}
+		clear(ro.cross[len(keep):])
+		ro.cross = keep
+	}
+
+	// Evaluate in anti-SL order (callees first): an equal-label overlap
+	// test reads generators of callees, which must be current.
+	order := ix.topoAntiSL()
+	for _, rid := range order {
+		ro := ix.perRule[rid]
+		if !ro.dirty {
+			continue
+		}
+		ro.dirty = false
+		for _, n := range ro.pend {
+			ix.settle(n)
+		}
+		clear(ro.pend)
+		ro.pend = ro.pend[:0]
+	}
+	ix.dirtyRules = dirty[:0]
+
+	ix.refreshUsage(order)
+}
+
+// settle evaluates n's in-edge if it is still pending, settling a
+// pending explicit parent first (its overlap status decides n's).
+func (ix *occIndex) settle(n *xmltree.Node) {
+	e := ix.tab.get(n)
+	if e == nil || e.flags&nodePending == 0 {
+		return
+	}
+	if p := e.parent; p != nil && p.Label.Kind == xmltree.Terminal {
+		ix.settle(p)
+		if e.flags&nodePending == 0 {
+			return // re-evaluated by the parent's propagation
+		}
+	}
+	ix.eval(n, e)
+}
+
+// eval re-derives the generator stored for node n's in-edge (Algorithm
+// 4's inner loop, lines 3–12, for one edge) and updates the global
+// counts. A change of n's equal-label overlap status re-evaluates the
+// chain child whose overlap test reads it.
+func (ix *occIndex) eval(n *xmltree.Node, e *nodeInfo) {
+	e.flags &^= nodePending
+	if e.flags&nodeDead != 0 {
+		return
+	}
+	ix.resolutions++
+	ro := ix.perRule[e.rule]
+	var k digram.Key
+	cross := false
+	if p := e.parent; p != nil && n.Label.Kind != xmltree.Parameter {
 		child := ix.resolveChildOf(n)
-		parent := ix.resolveParentOf(p, i)
+		parent := ix.resolveParentOf(p, int(e.idx))
 		d := digram.Digram{A: parent.label, I: parent.idx, B: child.label}
-		if d.Rank(ix.g.Syms) > ix.maxRank {
-			return true
-		}
-		k := d.Key()
-		if d.EqualLabels() {
-			// Equal-label digrams: never across a rule root (nonterminal
-			// generator), and never overlapping a stored occurrence.
-			if n.Label.Kind == xmltree.Nonterminal {
-				return true
+		if d.Rank(ix.g.Syms) <= ix.maxRank {
+			switch dk := d.Key(); {
+			case !d.EqualLabels():
+				k = dk
+			case n.Label.Kind == xmltree.Terminal:
+				// Equal-label digrams: never across a rule root
+				// (nonterminal generator), and never overlapping a
+				// stored occurrence.
+				cross = p.Label.Kind == xmltree.Nonterminal
+				if !ix.isGen(parent.node, dk) {
+					k = dk
+				}
 			}
-			setp := ix.genSet.Ref(k)
-			if *setp == nil {
-				*setp = make(map[*xmltree.Node]bool)
-			} else if (*setp)[parent.node] {
-				return true
-			}
-			(*setp)[n] = true
 		}
-		gp := ro.gens.Ref(k)
-		*gp = append(*gp, n)
-		ix.addCount(d, u)
-		return true
-	})
+	}
+	if cross {
+		e.flags |= nodeCross
+		if e.flags&nodeCrossListed == 0 {
+			e.flags |= nodeCrossListed
+			ro.cross = append(ro.cross, n)
+		}
+	} else {
+		e.flags &^= nodeCross
+	}
+	old := e.gen
+	if old == k {
+		return
+	}
+	if old != 0 {
+		ix.dropGen(ro, e)
+	}
+	if k != 0 {
+		ix.addGen(ro, n, e, k)
+	}
+	ix.propagate(n, old)
+	ix.propagate(n, k)
+}
+
+// propagate re-evaluates the edge whose equal-label overlap test reads
+// n's membership in digram k: n's child on the chain of k.
+func (ix *occIndex) propagate(n *xmltree.Node, k digram.Key) {
+	if k == 0 {
+		return
+	}
+	d := k.Digram()
+	if !d.EqualLabels() || d.I > len(n.Children) {
+		return
+	}
+	if c := n.Children[d.I-1]; c.Label.Kind == xmltree.Terminal {
+		ix.eval(c, ix.tab.get(c))
+	}
 }
 
 // topoAntiSL orders live rules callee-before-caller using the cached
-// sorted callee lists (cheaper than re-walking every RHS). The returned
-// slice is reused by the next call.
+// sorted callee lists. The returned slice is reused by the next call;
+// while no rule body changed since, the next call returns it as is.
 func (ix *occIndex) topoAntiSL() []int32 {
+	if ix.orderValid {
+		return ix.topoBuf
+	}
+	ix.orderValid = true
 	ids := ix.g.RuleIDs()
 	state := ix.topoState
 	clear(state)
@@ -472,4 +808,33 @@ func (ix *occIndex) refreshUsage(antiSL []int32) {
 			ro.usageApplied = newUsage[rid]
 		}
 	}
+}
+
+// preorder sorts nodes of one rule body into preorder, comparing the
+// child-index paths from the rule root (an ancestor sorts first).
+func (ix *occIndex) preorder(nodes []*xmltree.Node) {
+	type keyed struct {
+		n    *xmltree.Node
+		path []int32
+	}
+	buf := ix.pathBuf[:0]
+	ks := make([]keyed, len(nodes))
+	for i, n := range nodes {
+		start := len(buf)
+		for v := n; ; {
+			e := ix.tab.get(v)
+			if e.parent == nil {
+				break
+			}
+			buf = append(buf, e.idx)
+			v = e.parent
+		}
+		slices.Reverse(buf[start:])
+		ks[i] = keyed{n: n, path: buf[start:len(buf):len(buf)]}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return slices.Compare(a.path, b.path) })
+	for i := range ks {
+		nodes[i] = ks[i].n
+	}
+	ix.pathBuf = buf[:0]
 }

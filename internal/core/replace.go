@@ -56,15 +56,18 @@ type scratch struct {
 	flags    map[*xmltree.Node]*flagSet      // processRule flag accumulation
 	spliced  map[*xmltree.Node]*xmltree.Node // processRule inline records
 	order    []*xmltree.Node                 // processRule preorder buffer
+	anchors  []*xmltree.Node                 // processRule isolated occurrences
+	residual []*xmltree.Node                 // processRule anchors needing more inlining
+	ruleEd   editor                          // processRule's index-backed editor
 	flagMaps []map[*xmltree.Node]*flagSet
 	boolMaps []map[*xmltree.Node]bool
 	editors  []*editor
 
-	// Per-round dense rule-ID tables (born/edited/live flags, topo
+	// Per-round dense rule-ID tables (born/edited flags, topo
 	// positions), pooled so a compression run does not reallocate and
 	// re-zero O(MaxRuleID) slices on every digram round.
-	born, edited, live []bool
-	pos                []int
+	born, edited []bool
+	pos          []int
 }
 
 // resetBools grows a pooled dense table to length n and zeroes it.
@@ -82,7 +85,7 @@ func newScratch() *scratch {
 	}
 }
 
-func (sc *scratch) getEditor(g *grammar.Grammar, rule *grammar.Rule) *editor {
+func (sc *scratch) getEditor(rule *grammar.Rule) *editor {
 	var ed *editor
 	if n := len(sc.editors); n > 0 {
 		ed = sc.editors[n-1]
@@ -90,17 +93,16 @@ func (sc *scratch) getEditor(g *grammar.Grammar, rule *grammar.Rule) *editor {
 	} else {
 		ed = &editor{}
 	}
-	ed.reset(g, rule, sc.arena)
+	ed.reset(rule, sc.arena)
 	return ed
 }
 
 func (sc *scratch) putEditor(ed *editor) {
-	ed.g = nil
 	ed.rule = nil
+	ed.ix = nil
 	// Zero the entries so a pooled editor does not pin the last rule's
 	// nodes; capacity is kept for the next visit.
-	clear(ed.locs)
-	ed.locs = ed.locs[:0]
+	ed.own.reset()
 	sc.editors = append(sc.editors, ed)
 }
 
@@ -143,20 +145,11 @@ type replacer struct {
 	x         int32 // generated terminal standing for the new nonterminal X
 	optimized bool
 
-	// refs0 snapshots |ref_G(Q)| at round start (dense, indexed by rule
-	// ID). Algorithm 8's export condition must see the pre-round counts:
-	// a rule referenced from several sites keeps (or shares) its
-	// fragments via export rules even when every one of those sites
-	// inlines a version during this round — evaluating against live
-	// counts would let the last inline copy the full body and double the
-	// grammar level by level. Rules born during the round lie past the
-	// snapshot's length and read as 0.
-	refs0 []int
 	// born marks export rules created during this round (dense, grown as
 	// rules appear). They are always referenced from at least one
 	// surviving body, so inlining one of their fragments without export
 	// would duplicate it — they get the export treatment unconditionally
-	// (refs0 cannot know about them).
+	// (their round-start reference count is 0).
 	born     []bool
 	versions map[versionKey]*xmltree.Node // processed version bodies (templates)
 	edited   []bool                       // rules whose bodies changed or were created
@@ -167,6 +160,7 @@ func newReplacer(g *grammar.Grammar, ix *occIndex, sc *scratch, d digram.Digram,
 	n := int(g.MaxRuleID())
 	sc.born = resetBools(sc.born, n)
 	sc.edited = resetBools(sc.edited, n)
+	ix.beginRound()
 	return &replacer{
 		g:         g,
 		ix:        ix,
@@ -174,19 +168,10 @@ func newReplacer(g *grammar.Grammar, ix *occIndex, sc *scratch, d digram.Digram,
 		d:         d,
 		x:         x,
 		optimized: optimized,
-		refs0:     g.RefCounts(),
 		born:      sc.born,
 		versions:  make(map[versionKey]*xmltree.Node),
 		edited:    sc.edited,
 	}
-}
-
-// refCount0 reads the pre-round reference count (0 for rules born since).
-func (r *replacer) refCount0(id int32) int {
-	if int(id) < len(r.refs0) {
-		return r.refs0[id]
-	}
-	return 0
 }
 
 func (r *replacer) isBorn(id int32) bool {
@@ -215,24 +200,17 @@ func (r *replacer) run() (edited []int32, deleted []int32) {
 	for _, rid := range withGens {
 		r.processRule(rid)
 	}
-	before := r.g.RuleIDs()
-	r.g.GarbageCollect()
-	r.sc.live = resetBools(r.sc.live, int(r.g.MaxRuleID()))
-	live := r.sc.live
-	for _, id := range r.g.RuleIDs() {
-		live[id] = true
-	}
-	// before is creation order, which decoded grammars may present out of
-	// ID order, so deleted gets an explicit sort; edited comes off the
-	// dense-slice scan already ascending.
-	for _, id := range before {
-		if !live[id] {
-			deleted = append(deleted, id)
+	for id, b := range r.born {
+		if b {
+			r.ix.addRule(int32(id))
 		}
 	}
-	sort.Slice(deleted, func(i, j int) bool { return deleted[i] < deleted[j] })
+	r.ix.flushDead()
+	deleted = r.ix.collect()
+	// edited comes off the dense-slice scan already ascending; deleted
+	// rules have no index entry left.
 	for id, e := range r.edited {
-		if e && live[id] {
+		if e && r.ix.perRule[id] != nil {
 			edited = append(edited, int32(id))
 		}
 	}
@@ -254,7 +232,10 @@ func (r *replacer) processRule(rid int32) {
 	if len(gens) == 0 {
 		return
 	}
-	ed := r.sc.getEditor(r.g, rule)
+	ed := &r.sc.ruleEd
+	ed.open(r.ix, rule, r.sc.arena)
+	ro := r.ix.perRule[rid]
+	placed := len(ro.pend) // nodes the isolation places are appended here
 
 	// RDα construction for this rule (Section IV-E): accumulate flags per
 	// nonterminal node — r on generator call nodes, y_i on call nodes that
@@ -286,12 +267,10 @@ func (r *replacer) processRule(rid int32) {
 	clear(spliced)
 	if len(flags) > 0 {
 		order := r.sc.order[:0]
-		rule.RHS.Walk(func(n *xmltree.Node) bool {
-			if _, ok := flags[n]; ok {
-				order = append(order, n)
-			}
-			return true
-		})
+		for n := range flags {
+			order = append(order, n)
+		}
+		r.ix.preorder(order)
 		r.sc.order = order
 		for _, call := range order {
 			spliced[call] = r.inlineVersionAt(ed, call, flags[call])
@@ -300,12 +279,26 @@ func (r *replacer) processRule(rid int32) {
 
 	// Residual chains: with the optimized versions the flagged inlines
 	// already isolated everything; in non-optimized mode (plain bodies)
-	// the chains may need several inlining steps (Algorithm 5).
+	// the chains may need several inlining steps (Algorithm 5). They run
+	// in preorder: an ancestor's chain can inline the call a descendant's
+	// chain starts from, never the other way round.
+	anchors := r.sc.anchors[:0]
+	residual := r.sc.residual[:0]
 	for _, gnode := range gens {
 		anchor := gnode
 		if s, ok := spliced[gnode]; ok {
 			anchor = s
 		}
+		if p, _ := ed.parent(anchor); anchor.Label.Kind == xmltree.Nonterminal || p != nil && p.Label.Kind == xmltree.Nonterminal {
+			residual = append(residual, anchor)
+		} else {
+			anchors = append(anchors, anchor)
+		}
+	}
+	if len(residual) > 0 {
+		r.ix.preorder(residual)
+	}
+	for _, anchor := range residual {
 		for anchor.Label.Kind == xmltree.Nonterminal {
 			anchor = r.inlineVersionAt(ed, anchor, &flagSet{r: true})
 		}
@@ -316,11 +309,24 @@ func (r *replacer) processRule(rid int32) {
 			}
 			r.inlineVersionAt(ed, p, &flagSet{ys: []int{i + 1}})
 		}
+		anchors = append(anchors, anchor)
 	}
+	r.sc.residual = residual
+	// The inlined copies can hold explicit occurrences no generator
+	// stands for: an equal-label occurrence the overlap test skipped in a
+	// callee whose chain was paired differently there. Every such edge
+	// has a node the isolation placed, so those nodes (as tree child, or
+	// as tree parent via their chain child) are anchors too.
+	for _, n := range ro.pend[placed:] {
+		anchors = append(anchors, n)
+		if n.Label == xmltree.Term(r.d.A) {
+			anchors = append(anchors, n.Children[r.d.I-1])
+		}
+	}
+	r.sc.anchors = anchors
 
-	r.replaced += replaceDigramScan(rule, r.d.A, r.d.I, r.d.B, r.x, r.sc.arena)
+	r.replaced += ed.replaceOccurrences(anchors, r.d, r.x)
 	r.markEdited(rid)
-	r.sc.putEditor(ed)
 }
 
 // inlineVersionAt inlines the processed version (optimized mode) or the
@@ -351,7 +357,7 @@ func (r *replacer) version(rid int32, fs *flagSet) *xmltree.Node {
 	}
 	rule := r.g.Rule(rid)
 	work := &grammar.Rule{ID: rid, Rank: rule.Rank, RHS: rule.RHS.CopyIn(r.sc.arena)}
-	ed := r.sc.getEditor(r.g, work)
+	ed := r.sc.getEditor(work)
 
 	paramNode := make([]*xmltree.Node, rule.Rank)
 	work.RHS.Walk(func(n *xmltree.Node) bool {
@@ -418,7 +424,7 @@ func (r *replacer) version(rid int32, fs *flagSet) *xmltree.Node {
 	r.sc.putEditor(ed)
 
 	body := work.RHS
-	if r.optimized && (r.refCount0(rid) > 1 || r.isBorn(rid)) && len(marks) > 0 {
+	if r.optimized && (r.ix.refCount0(rid) > 1 || r.isBorn(rid)) && len(marks) > 0 {
 		body = r.exportFragments(body, marks)
 	}
 	r.versions[key] = body

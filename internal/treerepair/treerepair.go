@@ -55,6 +55,7 @@ func Compress(doc *xmltree.Document, opt Options) (*grammar.Grammar, *Stats) {
 // CompressTree runs TreeRePair on an arbitrary ranked tree of terminals.
 func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
 	e := newEngine(st.Clone(), root, opt.maxRank())
+	syms := st.Len()
 	e.buildOccurrences()
 	for {
 		d, _, ok := e.queue.Best()
@@ -66,6 +67,9 @@ func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*gr
 	}
 	g := e.toGrammar()
 	e.stats.PrunedRules = g.Prune()
+	// The generated terminals are nonterminals now; drop them from the
+	// table.
+	g.Syms.Truncate(syms)
 	e.stats.FinalSize = g.Size()
 	return g, e.stats
 }

@@ -115,6 +115,20 @@ func (st *SymbolTable) Fresh(prefix string, rank int) int32 {
 	return id
 }
 
+// Truncate drops every terminal with ID ≥ n, so the table holds exactly
+// the terminals it held when its Len was n. Compressors call it after
+// converting their generated terminals into nonterminals, so that the
+// one fresh terminal per replacement round does not outlive the run. No
+// node may still carry a dropped terminal.
+func (st *SymbolTable) Truncate(n int) {
+	for id := n; id < len(st.names); id++ {
+		delete(st.byKey, symKey{st.names[id], st.ranks[id]})
+	}
+	clear(st.names[n:])
+	st.names = st.names[:n]
+	st.ranks = st.ranks[:n]
+}
+
 // Name returns the name of terminal id.
 func (st *SymbolTable) Name(id int32) string { return st.names[id] }
 

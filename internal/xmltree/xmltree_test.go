@@ -326,3 +326,28 @@ func TestFormatString(t *testing.T) {
 		t.Fatalf("String without table should use t<ID>: %q", n.String())
 	}
 }
+
+// TestSymbolTableTruncate checks that Truncate forgets the dropped
+// terminals entirely: their names intern afresh, from the truncated
+// length on, and the kept terminals keep their IDs.
+func TestSymbolTableTruncate(t *testing.T) {
+	st := NewSymbolTable()
+	a := st.InternElement("a")
+	n := st.Len()
+	x := st.Fresh("X", 3)
+	xname := st.Name(x)
+	st.InternElement("b")
+	st.Truncate(n)
+	if st.Len() != n {
+		t.Fatalf("Len = %d after Truncate(%d)", st.Len(), n)
+	}
+	if got := st.InternElement("a"); got != a {
+		t.Fatalf("kept terminal a moved: %d, want %d", got, a)
+	}
+	if got := st.InternElement("b"); got != int32(n) || st.Rank(got) != 2 {
+		t.Fatalf("re-interned b = %d (rank %d), want %d (rank 2)", got, st.Rank(got), n)
+	}
+	if got := st.Intern(xname, 3); got == x {
+		t.Fatalf("dropped terminal %s still interned", xname)
+	}
+}
