@@ -133,6 +133,15 @@ func BenchmarkRecompressGrammarRePair(b *testing.B) {
 	}
 }
 
+// BenchmarkPrune measures the pruning phase alone on the grammar
+// recompression hands to it; see benchsuite.PruneBench.
+func BenchmarkPrune(b *testing.B) {
+	for _, short := range benchsuite.MicroShorts {
+		c, _ := datasets.ByShort(short)
+		b.Run(c.Name, benchsuite.PruneBench(short))
+	}
+}
+
 // BenchmarkStoreUpdateStream measures the Store update path (cached size
 // vectors, one GC per batch) against BenchmarkPerOpUpdateStream on the
 // identical pinned workload; the ratio is the update-serving speedup

@@ -292,6 +292,9 @@ func suite(quiet experiments.Config, add func(string, func() func(b *testing.B))
 		add("RecompressGrammarRePair/"+short, func() func(*testing.B) { return benchsuite.RecompressBench(short) })
 	}
 	for _, short := range benchsuite.MicroShorts {
+		add("Prune/"+short, func() func(*testing.B) { return benchsuite.PruneBench(short) })
+	}
+	for _, short := range benchsuite.MicroShorts {
 		add("StoreUpdateStream/"+short, func() func(*testing.B) { return benchsuite.StoreUpdateStreamBench(short) })
 	}
 	for _, short := range benchsuite.MicroShorts {

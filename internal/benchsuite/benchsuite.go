@@ -15,7 +15,9 @@ import (
 	"time"
 
 	sltgrammar "repro"
+	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/grammar"
 	"repro/internal/loadgen"
 	"repro/internal/store"
 	"repro/internal/update"
@@ -172,6 +174,34 @@ func RecompressBench(short string) func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sltgrammar.Recompress(g)
+		}
+	}
+}
+
+// pruneBatch is how many unpruned grammars PruneBench clones per
+// stopped-timer window: the clones stay outside the measured time
+// without stopping the timer around every op.
+const pruneBatch = 32
+
+// PruneBench returns the micro benchmark body measuring grammar.Prune
+// alone, on the grammar that GrammarRePair recompression of the pinned
+// degraded grammar hands to its pruning phase. Each op prunes a fresh
+// clone, made with the timer stopped.
+func PruneBench(short string) func(b *testing.B) {
+	g := core.Unpruned(degraded(short), core.Options{})
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		batch := make([]*grammar.Grammar, 0, pruneBatch)
+		for i := 0; i < b.N; i += pruneBatch {
+			b.StopTimer()
+			batch = batch[:0]
+			for j := i; j < b.N && j < i+pruneBatch; j++ {
+				batch = append(batch, g.Clone())
+			}
+			b.StartTimer()
+			for _, c := range batch {
+				c.Prune()
+			}
 		}
 	}
 }

@@ -40,6 +40,34 @@ type Stats struct {
 // new, recompressed grammar with the same val. The input grammar is not
 // modified.
 func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
+	g, st, syms := replaceDigrams(in, opt)
+	st.PrunedRules = g.Prune()
+	// Every generated terminal is a nonterminal now; drop them from the
+	// table, or each run would leave one dead terminal per round behind.
+	g.Syms.Truncate(syms)
+	st.FinalSize = g.Size()
+	// Detach the rule bodies from the run's scratch arena: a single live
+	// node would otherwise keep its whole allocation chunk (and every dead
+	// transient copy in it) reachable for the grammar's lifetime. The
+	// final grammar is small, so one plain-heap copy per rule bounds
+	// retention to the actual output.
+	g.Rules(func(r *grammar.Rule) {
+		r.RHS = r.RHS.Copy()
+	})
+	return g, st
+}
+
+// Unpruned runs Compress up to its pruning phase and returns the grammar
+// Compress hands to Prune, so that benchmarks can time Prune alone.
+func Unpruned(in *grammar.Grammar, opt Options) *grammar.Grammar {
+	g, _, _ := replaceDigrams(in, opt)
+	return g
+}
+
+// replaceDigrams runs the replacement rounds of Compress on a clone of
+// in and materializes the X rules. It returns the unpruned grammar, the
+// run's stats so far, and the symbol-table length before the run.
+func replaceDigrams(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats, int) {
 	g := in.Clone()
 	syms := g.Syms.Len()
 	st := &Stats{InputSize: g.Size()}
@@ -88,20 +116,7 @@ func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
 		convertGenerated(r.RHS, ntOf)
 	})
 	g.GarbageCollect() // X rules for digrams whose uses all got re-replaced
-	st.PrunedRules = g.Prune()
-	// Every generated terminal is a nonterminal now; drop them from the
-	// table, or each run would leave one dead terminal per round behind.
-	g.Syms.Truncate(syms)
-	st.FinalSize = g.Size()
-	// Detach the rule bodies from the run's scratch arena: a single live
-	// node would otherwise keep its whole allocation chunk (and every dead
-	// transient copy in it) reachable for the grammar's lifetime. The
-	// final grammar is small, so one plain-heap copy per rule bounds
-	// retention to the actual output.
-	g.Rules(func(r *grammar.Rule) {
-		r.RHS = r.RHS.Copy()
-	})
-	return g, st
+	return g, st, syms
 }
 
 // convertGenerated rewrites generated-terminal labels into nonterminal

@@ -95,8 +95,11 @@ func checkAgainstOracle(t *testing.T, at string, ix *occIndex, ref *refIndex) {
 			t.Fatalf("%s: index entry of N%d present=%v, rule live=%v", at, rid, ro != nil, live[int32(rid)])
 		}
 	}
-	// Per-equal-label-digram generator counts, to compare with genSet.
+	// Per-equal-label-digram generator counts, to compare with genSet,
+	// and every digram with a generator on either side, to compare the
+	// per-digram rule sets.
 	eqGens := make(map[digram.Key]int)
+	held := make(map[digram.Key]bool)
 	for _, rid := range g.RuleIDs() {
 		ro, rr := ix.perRule[rid], ref.perRule[rid]
 		rule := g.Rule(rid)
@@ -126,6 +129,7 @@ func checkAgainstOracle(t *testing.T, at string, ix *occIndex, ref *refIndex) {
 		ro.gens.Range(collect)
 		rr.gens.Range(collect)
 		for k := range keys {
+			held[k] = true
 			d := k.Digram()
 			rgens, _ := rr.gens.Get(k)
 			got, want := sortedNodes(ix.generators(rid, d)), sortedNodes(rgens)
@@ -139,6 +143,23 @@ func checkAgainstOracle(t *testing.T, at string, ix *occIndex, ref *refIndex) {
 				eqGens[k] += len(got)
 			}
 		}
+	}
+	listed := 0
+	for k := range held {
+		d := k.Digram()
+		got, want := ix.rulesWithGenerators(d), ref.rulesWithGenerators(d)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: rules with generators of %v: %v, oracle %v", at, d, got, want)
+		}
+		listed += len(got)
+	}
+	// No holder entry outside those digrams.
+	total := 0
+	for _, rs := range ix.holders {
+		total += len(rs)
+	}
+	if total != listed {
+		t.Fatalf("%s: %d holder entries, %d for digrams with generators", at, total, listed)
 	}
 	ref.genSet.Range(func(k digram.Key, set *map[*xmltree.Node]bool) bool {
 		for n := range *set {

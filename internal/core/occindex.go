@@ -202,6 +202,12 @@ type occIndex struct {
 	queue   digram.Queue      // usage-weighted global frequency of every digram
 	nodes   int               // summed RHS node count of all live rules
 
+	// holders lists, by the digram's queue slot, the rules holding at
+	// least one of its generators (unordered; a rule joins on its first
+	// generator of the digram and leaves with its last or when it is
+	// collected).
+	holders [][]int32
+
 	dead []*xmltree.Node // nodes unlinked since the last round end
 	zero []int32         // rules whose reference count dropped to 0
 
@@ -256,19 +262,27 @@ func (ix *occIndex) grow() {
 }
 
 // rulesWithGenerators returns the IDs of rules holding generators of d,
-// in ascending rule-ID order (the dense scan produces it sorted).
+// in ascending rule-ID order, in a fresh slice.
 func (ix *occIndex) rulesWithGenerators(d digram.Digram) []int32 {
-	k := d.Key()
-	var out []int32
-	for rid, ro := range ix.perRule {
-		if ro == nil {
-			continue
-		}
-		if gens, _ := ro.gens.Get(k); len(gens) > 0 {
-			out = append(out, int32(rid))
-		}
-	}
+	out := slices.Clone(*ix.holdersOf(d.Key()))
+	slices.Sort(out)
 	return out
+}
+
+// holdersOf returns the holder list of digram k.
+func (ix *occIndex) holdersOf(k digram.Key) *[]int32 {
+	id := int(ix.queue.Slot(k))
+	ix.holders = grammar.GrowTo(ix.holders, id+1)
+	return &ix.holders[id]
+}
+
+// dropHolder removes rule rid from the holders of digram k.
+func (ix *occIndex) dropHolder(k digram.Key, rid int32) {
+	hp := ix.holdersOf(k)
+	i := slices.Index(*hp, rid)
+	last := len(*hp) - 1
+	(*hp)[i] = (*hp)[last]
+	*hp = (*hp)[:last]
 }
 
 // generators returns the generator nodes of d within rule rid.
@@ -419,6 +433,10 @@ func (ix *occIndex) addCount(d digram.Digram, delta float64) {
 // addGen stores node n as a generator of digram k in its rule.
 func (ix *occIndex) addGen(ro *ruleOccs, n *xmltree.Node, e *nodeInfo, k digram.Key) {
 	gp := ro.gens.Ref(k)
+	if len(*gp) == 0 {
+		hp := ix.holdersOf(k)
+		*hp = append(*hp, e.rule)
+	}
 	e.gen = k
 	e.pos = int32(len(*gp))
 	*gp = append(*gp, n)
@@ -436,6 +454,9 @@ func (ix *occIndex) dropGen(ro *ruleOccs, e *nodeInfo) {
 	}
 	s[last] = nil
 	*gp = s[:last]
+	if last == 0 {
+		ix.dropHolder(e.gen, e.rule)
+	}
 	ix.addCount(e.gen.Digram(), -ro.usageApplied)
 	e.gen = 0
 }
@@ -487,7 +508,10 @@ func (ix *occIndex) deleteRule(rid int32) {
 	ix.orderValid = false
 	ro := ix.perRule[rid]
 	ro.gens.Range(func(k digram.Key, gens *[]*xmltree.Node) bool {
-		ix.addCount(k.Digram(), -ro.usageApplied*float64(len(*gens)))
+		if len(*gens) > 0 {
+			ix.addCount(k.Digram(), -ro.usageApplied*float64(len(*gens)))
+			ix.dropHolder(k, rid)
+		}
 		return true
 	})
 	ix.g.Rule(rid).RHS.Walk(func(n *xmltree.Node) bool {

@@ -94,6 +94,12 @@ func (q *Queue) Reset() {
 	q.heap = q.heap[:0]
 }
 
+// Slot returns the slot ID of digram key k, creating an empty slot on
+// first sight. Slot IDs are dense and stable for the queue's lifetime
+// (Reset aside), so callers can keep per-digram side tables in slices
+// indexed by them instead of in a second hash table.
+func (q *Queue) Slot(k Key) int32 { return q.slotOf(k) }
+
 // slotOf returns k's slot ID, creating an empty slot on first sight.
 func (q *Queue) slotOf(k Key) int32 {
 	p := q.ids.Ref(k)

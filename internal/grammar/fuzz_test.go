@@ -29,13 +29,16 @@ func fuzzUv(b *bytes.Buffer, v uint64) {
 	b.Write(tmp[:n])
 }
 
-func FuzzDecode(f *testing.F) {
+// decodeSeeds returns the seed corpus of FuzzDecode, which FuzzPrune
+// shares.
+func decodeSeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
 	addGrammar := func(g *grammar.Grammar) {
 		var b bytes.Buffer
 		if err := grammar.Encode(&b, g); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b.Bytes())
+		seeds = append(seeds, b.Bytes())
 	}
 
 	// Real encodings: every parity corpus at tiny scale, compressed with
@@ -70,10 +73,13 @@ func FuzzDecode(f *testing.F) {
 	fuzzUv(&hostile, 1)
 	fuzzUv(&hostile, 5)
 	fuzzUv(&hostile, 1<<40)
-	f.Add(hostile.Bytes())
-	f.Add([]byte("SLTG"))
-	f.Add([]byte{})
+	return append(seeds, hostile.Bytes(), []byte("SLTG"), []byte{})
+}
 
+func FuzzDecode(f *testing.F) {
+	for _, s := range decodeSeeds(f) {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			// The hardening bounds are about per-byte leverage, not about
@@ -112,6 +118,37 @@ func FuzzDecode(f *testing.F) {
 		_ = g.Size()
 		if n, err := g.ValNodeCount(); err == nil && n < 1 {
 			t.Fatalf("derived tree has %d nodes", n)
+		}
+	})
+}
+
+// FuzzPrune checks the call-site-list Prune against the whole-grammar
+// refPrune on every valid grammar the fuzzer can decode: both must remove
+// the same number of rules and leave byte-identical encodings, and
+// neither may panic.
+func FuzzPrune(f *testing.F) {
+	for _, s := range decodeSeeds(f) {
+		f.Add(s)
+	}
+	// The grammars TreeRePair hands to Prune, before it prunes them.
+	for _, c := range datasets.Corpora() {
+		doc := c.Generate(0.01, 20160516).Binary()
+		var b bytes.Buffer
+		if err := grammar.Encode(&b, treerepair.Unpruned(doc.Syms, doc.Root, treerepair.Options{})); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return // refPrune is O(k·|G|); keep iterations fast
+		}
+		g, err := grammar.Decode(bytes.NewReader(data))
+		if err != nil || g.Validate() != nil {
+			return
+		}
+		if err := grammar.PruneDiff(g); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -7,42 +7,17 @@ import (
 )
 
 // InlineEverywhere replaces every call of rule id on any right-hand side by
-// a fresh instantiation of its body and deletes the rule. The start rule
-// cannot be inlined away.
+// an instance of its body and deletes the rule. The start rule cannot be
+// inlined away.
 func (g *Grammar) InlineEverywhere(id int32) error {
 	if id == g.Start {
 		return fmt.Errorf("grammar: cannot inline start rule")
 	}
-	target := g.Rule(id)
-	if target == nil {
+	if g.Rule(id) == nil {
 		return fmt.Errorf("grammar: no rule N%d", id)
 	}
-	for _, rid := range g.order {
-		if rid == id {
-			continue
-		}
-		host := g.rules[rid]
-		g.inlineCallsIn(host, target)
-	}
-	g.DeleteRule(id)
+	newPruner(g).inline(id)
 	return nil
-}
-
-// inlineCallsIn replaces every call of target inside host's RHS.
-func (g *Grammar) inlineCallsIn(host *Rule, target *Rule) {
-	var rec func(n *xmltree.Node) *xmltree.Node
-	rec = func(n *xmltree.Node) *xmltree.Node {
-		// Process children first so nested calls inside arguments are
-		// rewritten before the argument subtrees get spliced into a body.
-		for i, c := range n.Children {
-			n.Children[i] = rec(c)
-		}
-		if n.Label.Kind == xmltree.Nonterminal && n.Label.ID == target.ID {
-			return SubstituteParams(target.RHS.Copy(), n.Children)
-		}
-		return n
-	}
-	host.RHS = rec(host.RHS)
 }
 
 // Sav returns the paper's productiveness measure of rule R:
@@ -55,45 +30,130 @@ func Sav(refs int, edges int, rank int) int {
 	return refs*(edges-rank) - edges
 }
 
-// inlineEverywhereRefs is InlineEverywhere with incremental refcount
-// maintenance: with k call sites, every nonterminal occurring n times in
-// the inlined body gains (k-1)·n references (k fresh copies minus the
-// deleted original), and the inlined rule itself drops to zero.
-func (g *Grammar) inlineEverywhereRefs(id int32, refs []int) error {
-	target := g.Rule(id)
-	if target == nil {
-		return fmt.Errorf("grammar: no rule N%d", id)
-	}
-	k := refs[id]
-	rhs := target.RHS // survives the DeleteRule inside InlineEverywhere
-	if err := g.InlineEverywhere(id); err != nil {
-		// Nothing was inlined; refs must stay untouched.
-		return err
-	}
-	rhs.Walk(func(v *xmltree.Node) bool {
-		if v.Label.Kind == xmltree.Nonterminal {
-			refs[v.Label.ID] += k - 1
-		}
-		return true
-	})
-	refs[id] = 0
-	return nil
+// pruner holds the call-site lists rule inlining works on: per callee
+// rule ID, every call node that references it, so a rule's reference
+// count is the length of its list and inlining a rule visits its call
+// sites and its body, never a rule that does not call it. A call node's
+// position in its callee's list lives in its Aux field, which the pruner
+// owns while it runs; a call leaves its list in O(1).
+type pruner struct {
+	g     *Grammar
+	sites [][]*xmltree.Node // by callee rule ID
+
+	// visits counts the body nodes inlines and deletes touch (building
+	// the lists is one walk of the grammar and is not counted); tests use
+	// it to pin the work to the rules pruned instead of |G|.
+	visits int
 }
 
-// deleteRuleRefs is DeleteRule with incremental refcount maintenance: the
-// deleted rule's right-hand side no longer contributes references.
-func (g *Grammar) deleteRuleRefs(id int32, refs []int) {
-	r := g.Rule(id)
-	if r == nil {
+func newPruner(g *Grammar) *pruner {
+	p := &pruner{g: g, sites: make([][]*xmltree.Node, g.nextNT)}
+	for _, id := range g.order {
+		g.rules[id].RHS.Walk(func(v *xmltree.Node) bool {
+			if v.Label.Kind == xmltree.Nonterminal {
+				p.join(v)
+			}
+			return true
+		})
+	}
+	return p
+}
+
+// join appends call node n to its callee's list.
+func (p *pruner) join(n *xmltree.Node) {
+	c := n.Label.ID
+	n.Aux = int32(len(p.sites[c]))
+	p.sites[c] = append(p.sites[c], n)
+}
+
+// leave removes call node n from its callee's list.
+func (p *pruner) leave(n *xmltree.Node) {
+	c := n.Label.ID
+	s := p.sites[c]
+	last := len(s) - 1
+	if moved := s[last]; moved != n {
+		s[n.Aux] = moved
+		moved.Aux = n.Aux
+	}
+	s[last] = nil
+	p.sites[c] = s[:last]
+}
+
+// inline replaces every call of rule id by an instance of its body and
+// deletes the rule; without call sites it just deletes it. Each call node
+// becomes the root of its instance in place, and its arguments move into
+// the instance by reference. Validate guarantees linear parameters and no
+// bare-parameter body, so every call node on a list (calls nested in the
+// arguments included) stays where it is and stays valid. The last site
+// takes the body itself, whose calls keep their list entries; the other
+// sites take copies, whose calls join their callees' lists.
+func (p *pruner) inline(id int32) {
+	body := p.g.rules[id].RHS
+	sites := p.sites[id]
+	p.sites[id] = nil
+	p.g.DeleteRule(id)
+	if len(sites) == 0 {
+		p.drop(body)
 		return
 	}
-	r.RHS.Walk(func(v *xmltree.Node) bool {
+	last := len(sites) - 1
+	for i, n := range sites {
+		var root *xmltree.Node
+		if i < last {
+			root = p.copyBody(body, n.Children)
+		} else {
+			root = p.moveBody(body, n.Children)
+		}
+		n.Label, n.Children = root.Label, root.Children
+		if root.Label.Kind == xmltree.Nonterminal {
+			// n replaces the instance root on the root's callee list.
+			n.Aux = root.Aux
+			p.sites[root.Label.ID][root.Aux] = n
+		}
+	}
+}
+
+// copyBody returns a copy of body t with parameter y_i replaced by
+// args[i-1]; the copy's calls join their callees' lists.
+func (p *pruner) copyBody(t *xmltree.Node, args []*xmltree.Node) *xmltree.Node {
+	p.visits++
+	if t.Label.Kind == xmltree.Parameter {
+		return args[t.Label.ID-1]
+	}
+	cp := &xmltree.Node{Label: t.Label}
+	if len(t.Children) > 0 {
+		cp.Children = make([]*xmltree.Node, len(t.Children))
+		for i, c := range t.Children {
+			cp.Children[i] = p.copyBody(c, args)
+		}
+	}
+	if cp.Label.Kind == xmltree.Nonterminal {
+		p.join(cp)
+	}
+	return cp
+}
+
+// moveBody replaces parameter y_i of body t by args[i-1] in place.
+func (p *pruner) moveBody(t *xmltree.Node, args []*xmltree.Node) *xmltree.Node {
+	p.visits++
+	if t.Label.Kind == xmltree.Parameter {
+		return args[t.Label.ID-1]
+	}
+	for i, c := range t.Children {
+		t.Children[i] = p.moveBody(c, args)
+	}
+	return t
+}
+
+// drop takes the calls of a deleted rule's body off their lists.
+func (p *pruner) drop(t *xmltree.Node) {
+	t.Walk(func(v *xmltree.Node) bool {
+		p.visits++
 		if v.Label.Kind == xmltree.Nonterminal {
-			refs[v.Label.ID]--
+			p.leave(v)
 		}
 		return true
 	})
-	g.DeleteRule(id)
 }
 
 // Prune implements the pruning phase (Algorithm 1 line 7 / Section IV-D):
@@ -103,27 +163,26 @@ func (g *Grammar) deleteRuleRefs(id int32, refs []int) {
 // TreeRePair's greedy strategy. Unreachable rules are collected as well.
 // Returns the number of rules removed.
 //
-// Refcounts are kept in the dense rule-ID-indexed slice RefCounts
-// returns, maintained across every inline and delete, so decisions never
-// see stale counts (deletes used to leave counts unadjusted) and the full
-// recount runs only once per Prune call.
+// Reference counts are the lengths of the call-site lists, which every
+// inline and delete keeps exact, so each decision sees the current count
+// and pruning k rules costs their call sites and bodies, not k·|G|.
 func (g *Grammar) Prune() int {
+	return newPruner(g).run()
+}
+
+func (p *pruner) run() int {
+	g := p.g
 	removed := 0
-	refs := g.RefCounts()
 	for {
 		changed := false
-		// Pass 1: |refs| == 1 rules are never worth keeping.
+		// Pass 1: rules with one reference are never worth keeping, and
+		// rules with none are unreachable.
 		for _, id := range g.RuleIDs() {
 			if id == g.Start || g.Rule(id) == nil {
 				continue
 			}
-			if refs[id] == 1 {
-				if err := g.inlineEverywhereRefs(id, refs); err == nil {
-					removed++
-					changed = true
-				}
-			} else if refs[id] == 0 {
-				g.deleteRuleRefs(id, refs)
+			if len(p.sites[id]) <= 1 {
+				p.inline(id)
 				removed++
 				changed = true
 			}
@@ -143,11 +202,10 @@ func (g *Grammar) Prune() int {
 			if r == nil {
 				continue
 			}
-			if Sav(refs[id], r.RHS.Edges(), r.Rank) < 0 {
-				if err := g.inlineEverywhereRefs(id, refs); err == nil {
-					removed++
-					changed = true
-				}
+			if Sav(len(p.sites[id]), r.RHS.Edges(), r.Rank) < 0 {
+				p.inline(id)
+				removed++
+				changed = true
 			}
 		}
 		if !changed {

@@ -54,8 +54,27 @@ func Compress(doc *xmltree.Document, opt Options) (*grammar.Grammar, *Stats) {
 
 // CompressTree runs TreeRePair on an arbitrary ranked tree of terminals.
 func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
+	g, e := replaceDigrams(st, root, opt)
+	e.stats.PrunedRules = g.Prune()
+	// The generated terminals are nonterminals now; drop them from the
+	// table (the run worked on a clone of st).
+	g.Syms.Truncate(st.Len())
+	e.stats.FinalSize = g.Size()
+	return g, e.stats
+}
+
+// Unpruned runs CompressTree up to its pruning phase and returns the
+// grammar CompressTree hands to Prune, so that tests can check Prune on
+// it.
+func Unpruned(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) *grammar.Grammar {
+	g, _ := replaceDigrams(st, root, opt)
+	return g
+}
+
+// replaceDigrams runs the replacement rounds of CompressTree and returns
+// the unpruned grammar with the engine holding the run's stats.
+func replaceDigrams(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *engine) {
 	e := newEngine(st.Clone(), root, opt.maxRank())
-	syms := st.Len()
 	e.buildOccurrences()
 	for {
 		d, _, ok := e.queue.Best()
@@ -65,13 +84,7 @@ func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*gr
 		e.replaceAll(d)
 		e.maybeRebuild()
 	}
-	g := e.toGrammar()
-	e.stats.PrunedRules = g.Prune()
-	// The generated terminals are nonterminals now; drop them from the
-	// table.
-	g.Syms.Truncate(syms)
-	e.stats.FinalSize = g.Size()
-	return g, e.stats
+	return e.toGrammar(), e
 }
 
 // tnode is the mutable tree node used during compression. Nodes live in a
