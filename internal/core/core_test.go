@@ -344,15 +344,15 @@ func TestFlagSet(t *testing.T) {
 	f.addY(1)
 	f.addY(3)
 	f.r = true
-	if f.key() != "r,y1,y3" {
-		t.Fatalf("key = %q", f.key())
+	if key := string(f.appendKey(nil)); key != "r,y1,y3" {
+		t.Fatalf("key = %q", key)
 	}
 	if len(f.ys) != 2 {
 		t.Fatalf("duplicate y added: %v", f.ys)
 	}
 	g := &flagSet{}
-	if g.key() != "" {
-		t.Fatalf("empty key = %q", g.key())
+	if key := string(g.appendKey(nil)); key != "" {
+		t.Fatalf("empty key = %q", key)
 	}
 }
 

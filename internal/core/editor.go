@@ -25,6 +25,12 @@ type editor struct {
 	ix    *occIndex  // non-nil: rule is a grammar rule tracked by ix
 	tab   *nodeTable // ix.tab, or own
 	own   nodeTable
+
+	// A template editor's rule (the version under construction), its
+	// parameter nodes y1..yk, and the version's flagged-node and mark
+	// lists.
+	work                 grammar.Rule
+	params, order, marks []*xmltree.Node
 }
 
 // reset opens a template editor on a rule body that is not part of the
@@ -35,10 +41,20 @@ func (ed *editor) reset(rule *grammar.Rule, arena *xmltree.Arena) {
 	ed.ix = nil
 	ed.tab = &ed.own
 	ed.own.reset()
-	rule.RHS.WalkParent(func(n, p *xmltree.Node, i int) bool {
-		ed.own.put(n, p, i)
-		return true
-	})
+	ed.params = grammar.GrowTo(ed.params[:0], rule.Rank)
+	ed.putAll(rule.RHS, nil, -1)
+}
+
+// putAll registers the subtree rooted at n in the private table, in
+// preorder, and records its parameter nodes.
+func (ed *editor) putAll(n, parent *xmltree.Node, idx int) {
+	ed.own.put(n, parent, idx)
+	if n.Label.Kind == xmltree.Parameter {
+		ed.params[n.Label.ID-1] = n
+	}
+	for i, c := range n.Children {
+		ed.putAll(c, n, i)
+	}
 }
 
 // open opens an editor on grammar rule rule, backed by the index.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/digram"
 	"repro/internal/grammar"
 	"repro/internal/xmltree"
@@ -39,46 +41,91 @@ type Stats struct {
 // Compress runs GrammarRePair (Algorithm 1) on the grammar and returns a
 // new, recompressed grammar with the same val. The input grammar is not
 // modified.
+//
+// Compress is safe for concurrent use; it only reads its input. It
+// reuses its scratch from one run to the next: each run takes an
+// emptied run state (occurrence index, node arena, replacer tables)
+// from a pool and hands it back once the output has been copied out of
+// it, so a warm run allocates its output, not its index.
 func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
-	g, st, syms := replaceDigrams(in, opt)
+	rs := runPool.Get().(*runState)
+	g, st := rs.compress(in, opt)
+	rs.release()
+	runPool.Put(rs)
+	return g, st
+}
+
+// Unpruned runs Compress up to its pruning phase and returns the grammar
+// Compress hands to Prune, so that benchmarks can time Prune alone. Its
+// rule bodies live in the run's arena, so the run state is never reused.
+func Unpruned(in *grammar.Grammar, opt Options) *grammar.Grammar {
+	g, _, _ := newRunState().replaceDigrams(in, opt)
+	return g
+}
+
+// runState is the scratch of one GrammarRePair run: the occurrence index,
+// the replacer scratch with its node arena, and the run's own lists.
+// Between runs it is empty (release) and keeps every capacity.
+type runState struct {
+	ix    occIndex
+	sc    *scratch
+	rules []made
+	ntOf  map[int32]int32
+}
+
+// made records the generated terminal standing for the X rule of one
+// round's digram.
+type made struct {
+	term int32
+	d    digram.Digram
+}
+
+// runPool holds the idle run states Compress reuses.
+var runPool = sync.Pool{New: func() any { return newRunState() }}
+
+func newRunState() *runState {
+	return &runState{sc: newScratch(), ntOf: make(map[int32]int32)}
+}
+
+// release empties the run state for the next run. Nothing it handed out
+// may still be in use: the arena's nodes are zeroed and reused.
+func (rs *runState) release() {
+	rs.ix.release()
+	rs.sc.release()
+	rs.rules = rs.rules[:0]
+	clear(rs.ntOf)
+}
+
+// compress is Compress on this run state.
+func (rs *runState) compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
+	g, st, syms := rs.replaceDigrams(in, opt)
 	st.PrunedRules = g.Prune()
 	// Every generated terminal is a nonterminal now; drop them from the
 	// table, or each run would leave one dead terminal per round behind.
 	g.Syms.Truncate(syms)
 	st.FinalSize = g.Size()
-	// Detach the rule bodies from the run's scratch arena: a single live
-	// node would otherwise keep its whole allocation chunk (and every dead
-	// transient copy in it) reachable for the grammar's lifetime. The
-	// final grammar is small, so one plain-heap copy per rule bounds
-	// retention to the actual output.
+	// Detach the rule bodies from the run's arena, which the next run
+	// reuses. The final grammar is small, so one plain-heap copy per
+	// rule bounds the output to what it holds.
 	g.Rules(func(r *grammar.Rule) {
 		r.RHS = r.RHS.Copy()
 	})
 	return g, st
 }
 
-// Unpruned runs Compress up to its pruning phase and returns the grammar
-// Compress hands to Prune, so that benchmarks can time Prune alone.
-func Unpruned(in *grammar.Grammar, opt Options) *grammar.Grammar {
-	g, _, _ := replaceDigrams(in, opt)
-	return g
-}
-
 // replaceDigrams runs the replacement rounds of Compress on a clone of
-// in and materializes the X rules. It returns the unpruned grammar, the
-// run's stats so far, and the symbol-table length before the run.
-func replaceDigrams(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats, int) {
-	g := in.Clone()
+// in (in the run's arena) and materializes the X rules. It returns the
+// unpruned grammar, the run's stats so far, and the symbol-table length
+// before the run.
+func (rs *runState) replaceDigrams(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats, int) {
+	sc := rs.sc
+	g := in.CloneIn(sc.arena)
 	syms := g.Syms.Len()
 	st := &Stats{InputSize: g.Size()}
-	ix := newOccIndex(g, opt.maxRank())
-	sc := newScratch()
+	ix := &rs.ix
+	ix.init(g, opt.maxRank())
 
-	type made struct {
-		term int32
-		d    digram.Digram
-	}
-	var rules []made
+	rules := rs.rules[:0]
 	extraEdges := 0 // Σ edges of the (conceptual) X → t_X rules
 
 	for {
@@ -102,10 +149,11 @@ func replaceDigrams(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats,
 			st.MaxIntermediate = size
 		}
 	}
+	rs.rules = rules
 
 	// Materialize the X → t_X rules: every generated terminal becomes a
 	// nonterminal whose rule body is its digram pattern.
-	ntOf := make(map[int32]int32, len(rules))
+	ntOf := rs.ntOf
 	for _, m := range rules {
 		rhs := m.d.PatternRHSIn(g.Syms, sc.arena)
 		convertGenerated(rhs, ntOf)
@@ -136,8 +184,9 @@ func convertGenerated(n *xmltree.Node, ntOf map[int32]int32) {
 // single-rule grammar and runs GrammarRePair over it ("GrammarRePair
 // applied to trees" in the paper's experiments).
 func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
-	g := grammar.FromTree(st.Clone(), root.Copy())
-	return Compress(g, opt)
+	// Compress neither modifies its input nor keeps it, so the wrapper
+	// can share the tree and the table.
+	return Compress(grammar.FromTree(st, root), opt)
 }
 
 // CompressDocument compresses a binary XML document.

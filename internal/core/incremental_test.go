@@ -120,14 +120,17 @@ func checkAgainstOracle(t *testing.T, at string, ix *occIndex, ref *refIndex) {
 			t.Fatalf("%s: N%d parameter parents %v, oracle %v", at, rid, ro.params, ref.ifaces[rid].params)
 		}
 		keys := make(map[digram.Key]bool)
-		collect := func(k digram.Key, gens *[]*xmltree.Node) bool {
+		for _, l := range ro.lists {
+			if len(l.nodes) > 0 {
+				keys[l.key] = true
+			}
+		}
+		rr.gens.Range(func(k digram.Key, gens *[]*xmltree.Node) bool {
 			if len(*gens) > 0 {
 				keys[k] = true
 			}
 			return true
-		}
-		ro.gens.Range(collect)
-		rr.gens.Range(collect)
+		})
 		for k := range keys {
 			held[k] = true
 			d := k.Digram()

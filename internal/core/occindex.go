@@ -23,13 +23,15 @@ type parentRef struct {
 
 // ruleOccs caches everything the index knows about one rule. Occurrence
 // generators are flat-hashed on the packed digram key instead of living in
-// a per-rule Go map.
+// a per-rule Go map. The index recycles ruleOccs from run to run (see
+// reset), so every slice here keeps its capacity.
 type ruleOccs struct {
-	gens         digram.Table[[]*xmltree.Node] // occurrence generators by digram
-	calls        []call                        // callees, ascending by rule ID
-	nodes        int                           // node count of the RHS
-	paramParents []parentRef                   // local parent of y1..yk
-	usageApplied float64                       // usage weight its gens contribute with
+	gens         digram.Table[int32] // digram key → 1 + index into lists
+	lists        []genList           // occurrence generators, one list per digram seen
+	calls        []call              // callees, ascending by rule ID
+	nodes        int                 // node count of the RHS
+	paramParents []parentRef         // local parent of y1..yk
+	usageApplied float64             // usage weight its gens contribute with
 
 	// root and params are the rule's resolved interface: the terminal
 	// node its root chain resolves to (TREECHILD, Algorithm 2) and, per
@@ -53,6 +55,55 @@ type ruleOccs struct {
 	prev           iface
 	saved, prevHad bool
 	dirty, queued  bool
+}
+
+// genList holds a rule's generators of one digram (empty once they are
+// all gone; a list is never removed while its rule lives).
+type genList struct {
+	key   digram.Key
+	nodes []*xmltree.Node
+}
+
+// genRef returns the generator list of digram k, adding an empty one on
+// first sight. The pointer is valid until the next genRef.
+func (ro *ruleOccs) genRef(k digram.Key) *[]*xmltree.Node {
+	p := ro.gens.Ref(k)
+	if *p == 0 {
+		// Re-extend over a recycled list first: reset left it empty with
+		// its capacity.
+		if n := len(ro.lists); n < cap(ro.lists) {
+			ro.lists = ro.lists[:n+1]
+		} else {
+			ro.lists = append(ro.lists, genList{})
+		}
+		ro.lists[len(ro.lists)-1].key = k
+		*p = int32(len(ro.lists))
+	}
+	return &ro.lists[*p-1].nodes
+}
+
+// reset empties ro for another rule, zeroing every node reference and
+// keeping every capacity.
+func (ro *ruleOccs) reset() {
+	ro.gens.Clear()
+	for i := range ro.lists {
+		clear(ro.lists[i].nodes)
+		ro.lists[i].nodes = ro.lists[i].nodes[:0]
+	}
+	clear(ro.paramParents)
+	clear(ro.params)
+	clear(ro.pend)
+	clear(ro.cross)
+	*ro = ruleOccs{
+		gens:         ro.gens,
+		lists:        ro.lists[:0],
+		calls:        ro.calls[:0],
+		paramParents: ro.paramParents[:0],
+		params:       ro.params[:0],
+		pend:         ro.pend[:0],
+		cross:        ro.cross[:0],
+		prev:         iface{params: ro.prev.params[:0]},
+	}
 }
 
 // call is one distinct callee of a rule and its number of call sites.
@@ -191,6 +242,10 @@ func (t *nodeTable) reset() {
 //
 // All per-rule state lives in dense rule-ID-indexed slices (rule IDs are
 // dense and never reused), so per-rule lookups do no hashing.
+//
+// An index serves one run at a time: init builds it over a grammar and
+// release empties it again keeping every capacity, so the next run
+// reuses the tables, lists and ruleOccs instead of growing new ones.
 type occIndex struct {
 	g       *grammar.Grammar
 	maxRank int
@@ -201,6 +256,11 @@ type occIndex struct {
 	usage   []float64         // by rule ID
 	queue   digram.Queue      // usage-weighted global frequency of every digram
 	nodes   int               // summed RHS node count of all live rules
+
+	// roSlab holds every ruleOccs handed out, the first roUsed of them
+	// to this run (in addRule order); release recycles them.
+	roSlab []*ruleOccs
+	roUsed int
 
 	// holders lists, by the digram's queue slot, the rules holding at
 	// least one of its generators (unordered; a rule joins on its first
@@ -230,12 +290,24 @@ type occIndex struct {
 	topoState                    []uint8
 	topoBuf                      []int32
 	pathBuf                      []int32
+	keyBuf                       []keyed
+	withGens, edited, deleted    []int32
 }
 
 func newOccIndex(g *grammar.Grammar, maxRank int) *occIndex {
-	ix := &occIndex{g: g, maxRank: maxRank}
+	ix := &occIndex{}
+	ix.init(g, maxRank)
+	return ix
+}
+
+// init builds the index over every rule of g. The index must be new or
+// released.
+func (ix *occIndex) init(g *grammar.Grammar, maxRank int) {
+	ix.g, ix.maxRank = g, maxRank
 	ix.grow()
-	ids := g.RuleIDs()
+	ids := ix.edited[:0] // the build refreshes every rule as edited
+	g.Rules(func(r *grammar.Rule) { ids = append(ids, r.ID) })
+	ix.edited = ids
 	for _, rid := range ids {
 		ix.addRule(rid)
 	}
@@ -248,7 +320,51 @@ func newOccIndex(g *grammar.Grammar, maxRank int) *occIndex {
 		}
 	}
 	ix.refresh(ids)
-	return ix
+}
+
+// release empties the index for the next run, zeroing every node and
+// grammar reference and keeping every capacity. The lists of sites and
+// holders keep their length, so that their inner lists keep theirs.
+func (ix *occIndex) release() {
+	ix.tab.reset()
+	for _, ro := range ix.roSlab[:ix.roUsed] {
+		ro.reset()
+	}
+	ix.roUsed = 0
+	clear(ix.perRule)
+	for i := range ix.sites {
+		clear(ix.sites[i])
+		ix.sites[i] = ix.sites[i][:0]
+	}
+	for i := range ix.holders {
+		ix.holders[i] = ix.holders[i][:0]
+	}
+	ix.queue.Reset()
+	clear(ix.dead)
+	clear(ix.keyBuf[:cap(ix.keyBuf)])
+	*ix = occIndex{
+		tab:        ix.tab,
+		perRule:    ix.perRule[:0],
+		sites:      ix.sites,
+		roSlab:     ix.roSlab,
+		usage:      ix.usage[:0],
+		queue:      ix.queue,
+		holders:    ix.holders,
+		dead:       ix.dead[:0],
+		zero:       ix.zero[:0],
+		refs0:      ix.refs0[:0],
+		refs0At:    ix.refs0At[:0],
+		work:       ix.work[:0],
+		resTouched: ix.resTouched[:0],
+		dirtyRules: ix.dirtyRules[:0],
+		topoState:  ix.topoState[:0],
+		topoBuf:    ix.topoBuf[:0],
+		pathBuf:    ix.pathBuf[:0],
+		keyBuf:     ix.keyBuf[:0],
+		withGens:   ix.withGens[:0],
+		edited:     ix.edited[:0],
+		deleted:    ix.deleted[:0],
+	}
 }
 
 // grow sizes every dense table for the rule IDs the grammar has assigned
@@ -262,11 +378,11 @@ func (ix *occIndex) grow() {
 }
 
 // rulesWithGenerators returns the IDs of rules holding generators of d,
-// in ascending rule-ID order, in a fresh slice.
+// in ascending rule-ID order, in a slice the next call reuses.
 func (ix *occIndex) rulesWithGenerators(d digram.Digram) []int32 {
-	out := slices.Clone(*ix.holdersOf(d.Key()))
-	slices.Sort(out)
-	return out
+	ix.withGens = append(ix.withGens[:0], *ix.holdersOf(d.Key())...)
+	slices.Sort(ix.withGens)
+	return ix.withGens
 }
 
 // holdersOf returns the holder list of digram k.
@@ -288,8 +404,9 @@ func (ix *occIndex) dropHolder(k digram.Key, rid int32) {
 // generators returns the generator nodes of d within rule rid.
 func (ix *occIndex) generators(rid int32, d digram.Digram) []*xmltree.Node {
 	if ro := ix.perRule[rid]; ro != nil {
-		gens, _ := ro.gens.Get(d.Key())
-		return gens
+		if i, _ := ro.gens.Get(d.Key()); i > 0 {
+			return ro.lists[i-1].nodes
+		}
 	}
 	return nil
 }
@@ -332,15 +449,23 @@ func (ix *occIndex) saveRef0(c int32) {
 func (ix *occIndex) addRule(rid int32) {
 	ix.grow()
 	r := ix.g.Rule(rid)
-	ro := &ruleOccs{
-		paramParents: make([]parentRef, r.Rank),
-		params:       make([]resolved, r.Rank),
+	if ix.roUsed == len(ix.roSlab) {
+		ix.roSlab = append(ix.roSlab, &ruleOccs{})
 	}
+	ro := ix.roSlab[ix.roUsed]
+	ix.roUsed++
+	ro.paramParents = grammar.GrowTo(ro.paramParents, r.Rank)
+	ro.params = grammar.GrowTo(ro.params, r.Rank)
 	ix.perRule[rid] = ro
-	r.RHS.WalkParent(func(n, p *xmltree.Node, i int) bool {
-		ix.place(n, p, i, rid)
-		return true
-	})
+	ix.placeAll(r.RHS, nil, -1, rid)
+}
+
+// placeAll places every node of the subtree rooted at n, in preorder.
+func (ix *occIndex) placeAll(n, parent *xmltree.Node, idx int, rid int32) {
+	ix.place(n, parent, idx, rid)
+	for i, c := range n.Children {
+		ix.placeAll(c, n, i, rid)
+	}
 }
 
 // place records that node n now sits at child index idx under parent in
@@ -432,7 +557,7 @@ func (ix *occIndex) addCount(d digram.Digram, delta float64) {
 
 // addGen stores node n as a generator of digram k in its rule.
 func (ix *occIndex) addGen(ro *ruleOccs, n *xmltree.Node, e *nodeInfo, k digram.Key) {
-	gp := ro.gens.Ref(k)
+	gp := ro.genRef(k)
 	if len(*gp) == 0 {
 		hp := ix.holdersOf(k)
 		*hp = append(*hp, e.rule)
@@ -445,7 +570,7 @@ func (ix *occIndex) addGen(ro *ruleOccs, n *xmltree.Node, e *nodeInfo, k digram.
 
 // dropGen removes the node of entry e from its generator list.
 func (ix *occIndex) dropGen(ro *ruleOccs, e *nodeInfo) {
-	gp := ro.gens.Ref(e.gen)
+	gp := ro.genRef(e.gen)
 	s := *gp
 	last := len(s) - 1
 	if int(e.pos) != last {
@@ -489,7 +614,7 @@ func (ix *occIndex) flushDead() {
 // reachability sweep from the start rule would delete: the call relation
 // is acyclic and the counts are exact.
 func (ix *occIndex) collect() []int32 {
-	var deleted []int32
+	deleted := ix.deleted[:0]
 	for len(ix.zero) > 0 {
 		rid := ix.zero[len(ix.zero)-1]
 		ix.zero = ix.zero[:len(ix.zero)-1]
@@ -500,6 +625,7 @@ func (ix *occIndex) collect() []int32 {
 		deleted = append(deleted, rid)
 	}
 	slices.Sort(deleted)
+	ix.deleted = deleted
 	return deleted
 }
 
@@ -507,23 +633,28 @@ func (ix *occIndex) collect() []int32 {
 func (ix *occIndex) deleteRule(rid int32) {
 	ix.orderValid = false
 	ro := ix.perRule[rid]
-	ro.gens.Range(func(k digram.Key, gens *[]*xmltree.Node) bool {
-		if len(*gens) > 0 {
-			ix.addCount(k.Digram(), -ro.usageApplied*float64(len(*gens)))
-			ix.dropHolder(k, rid)
+	for _, l := range ro.lists {
+		if len(l.nodes) > 0 {
+			ix.addCount(l.key.Digram(), -ro.usageApplied*float64(len(l.nodes)))
+			ix.dropHolder(l.key, rid)
 		}
-		return true
-	})
-	ix.g.Rule(rid).RHS.Walk(func(n *xmltree.Node) bool {
-		if n.Label.Kind == xmltree.Nonterminal {
-			ix.removeSite(n, ix.tab.get(n), ro)
-		}
-		ix.tab.release(n)
-		return true
-	})
+	}
+	ix.releaseAll(ix.g.Rule(rid).RHS, ro)
 	ix.nodes -= ro.nodes
 	ix.perRule[rid] = nil
 	ix.g.DeleteRule(rid)
+}
+
+// releaseAll frees the table slots of the subtree rooted at n (in rule
+// ro), leaving the callees' call-site lists on the way.
+func (ix *occIndex) releaseAll(n *xmltree.Node, ro *ruleOccs) {
+	if n.Label.Kind == xmltree.Nonterminal {
+		ix.removeSite(n, ix.tab.get(n), ro)
+	}
+	ix.tab.release(n)
+	for _, c := range n.Children {
+		ix.releaseAll(c, ro)
+	}
 }
 
 // resolveChildOf resolves the tree child of a generator node: the node
@@ -768,34 +899,32 @@ func (ix *occIndex) propagate(n *xmltree.Node, k digram.Key) {
 }
 
 // topoAntiSL orders live rules callee-before-caller using the cached
-// sorted callee lists. The returned slice is reused by the next call;
-// while no rule body changed since, the next call returns it as is.
+// sorted callee lists, starting a depth-first search from each rule in
+// creation order. The returned slice is reused by the next call; while
+// no rule body changed since, the next call returns it as is.
 func (ix *occIndex) topoAntiSL() []int32 {
 	if ix.orderValid {
 		return ix.topoBuf
 	}
 	ix.orderValid = true
-	ids := ix.g.RuleIDs()
-	state := ix.topoState
-	clear(state)
-	out := ix.topoBuf[:0]
-	var visit func(id int32)
-	visit = func(id int32) {
-		if state[id] != 0 {
-			return
-		}
-		state[id] = 1
-		for _, c := range ix.perRule[id].calls {
-			visit(c.rule)
-		}
-		state[id] = 2
-		out = append(out, id)
+	clear(ix.topoState)
+	ix.topoBuf = ix.topoBuf[:0]
+	ix.g.Rules(func(r *grammar.Rule) { ix.visitTopo(r.ID) })
+	return ix.topoBuf
+}
+
+// visitTopo appends rule id to topoBuf after its callees, unless the
+// current search has reached it already.
+func (ix *occIndex) visitTopo(id int32) {
+	if ix.topoState[id] != 0 {
+		return
 	}
-	for _, id := range ids {
-		visit(id)
+	ix.topoState[id] = 1
+	for _, c := range ix.perRule[id].calls {
+		ix.visitTopo(c.rule)
 	}
-	ix.topoBuf = out
-	return out
+	ix.topoState[id] = 2
+	ix.topoBuf = append(ix.topoBuf, id)
 }
 
 // refreshUsage recomputes usage_G for all rules from the callee lists and
@@ -823,26 +952,27 @@ func (ix *occIndex) refreshUsage(antiSL []int32) {
 		ro := ix.perRule[rid]
 		delta := newUsage[rid] - ro.usageApplied
 		if delta != 0 {
-			ro.gens.Range(func(k digram.Key, gens *[]*xmltree.Node) bool {
-				if len(*gens) > 0 {
-					ix.addCount(k.Digram(), delta*float64(len(*gens)))
+			for _, l := range ro.lists {
+				if len(l.nodes) > 0 {
+					ix.addCount(l.key.Digram(), delta*float64(len(l.nodes)))
 				}
-				return true
-			})
+			}
 			ro.usageApplied = newUsage[rid]
 		}
 	}
 }
 
+// keyed is a node with its child-index path from the rule root.
+type keyed struct {
+	n    *xmltree.Node
+	path []int32
+}
+
 // preorder sorts nodes of one rule body into preorder, comparing the
 // child-index paths from the rule root (an ancestor sorts first).
 func (ix *occIndex) preorder(nodes []*xmltree.Node) {
-	type keyed struct {
-		n    *xmltree.Node
-		path []int32
-	}
 	buf := ix.pathBuf[:0]
-	ks := make([]keyed, len(nodes))
+	ks := grammar.GrowTo(ix.keyBuf[:0], len(nodes))
 	for i, n := range nodes {
 		start := len(buf)
 		for v := n; ; {
@@ -861,4 +991,5 @@ func (ix *occIndex) preorder(nodes []*xmltree.Node) {
 		nodes[i] = ks[i].n
 	}
 	ix.pathBuf = buf[:0]
+	ix.keyBuf = ks[:0]
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/digram"
 	"repro/internal/grammar"
@@ -29,28 +29,23 @@ func (f *flagSet) addY(i int) {
 	f.ys[pos] = i
 }
 
-func (f *flagSet) key() string {
-	var b strings.Builder
+// appendKey appends the flag set's canonical text ("r,y1,y3") to b.
+func (f *flagSet) appendKey(b []byte) []byte {
 	if f.r {
-		b.WriteByte('r')
+		b = append(b, 'r')
 	}
 	for _, y := range f.ys {
-		fmt.Fprintf(&b, ",y%d", y)
+		b = strconv.AppendInt(append(b, ",y"...), int64(y), 10)
 	}
-	return b.String()
-}
-
-// versionKey identifies a rule version in the ReplacementDAG RDα.
-type versionKey struct {
-	rule int32
-	fs   string
+	return b
 }
 
 // scratch owns the allocation state shared by every replacement round of
 // one compression run: the node arena the round's tree surgery allocates
 // from, the per-rule flag/splice maps (cleared, not reallocated, between
 // rules), and pools for the maps and editors that the recursive version
-// construction needs one instance of per activation.
+// construction needs one instance of per activation. release empties it
+// for the next run, keeping every capacity.
 type scratch struct {
 	arena    *xmltree.Arena
 	flags    map[*xmltree.Node]*flagSet      // processRule flag accumulation
@@ -68,6 +63,16 @@ type scratch struct {
 	// re-zero O(MaxRuleID) slices on every digram round.
 	born, edited []bool
 	pos          []int
+
+	// The round's processed versions by versionKey, the buffer the key
+	// is built in, and the flag sets the round hands out (the first
+	// nFlags of flagSets).
+	versions map[string]*xmltree.Node
+	keyBuf   []byte
+	flagSets []*flagSet
+	nFlags   int
+
+	rep replacer // the round's replacer
 }
 
 // resetBools grows a pooled dense table to length n and zeroes it.
@@ -79,12 +84,64 @@ func resetBools(s []bool, n int) []bool {
 
 func newScratch() *scratch {
 	return &scratch{
-		arena:   &xmltree.Arena{},
-		flags:   make(map[*xmltree.Node]*flagSet),
-		spliced: make(map[*xmltree.Node]*xmltree.Node),
+		arena:    &xmltree.Arena{},
+		flags:    make(map[*xmltree.Node]*flagSet),
+		spliced:  make(map[*xmltree.Node]*xmltree.Node),
+		versions: make(map[string]*xmltree.Node),
 	}
 }
 
+// newFlags returns an empty flag set that serves until the round ends.
+func (sc *scratch) newFlags() *flagSet {
+	if sc.nFlags == len(sc.flagSets) {
+		sc.flagSets = append(sc.flagSets, &flagSet{})
+	}
+	f := sc.flagSets[sc.nFlags]
+	sc.nFlags++
+	f.r, f.ys = false, f.ys[:0]
+	return f
+}
+
+// rootFlags returns the flag set {r}; paramFlags returns {y_i}.
+func (sc *scratch) rootFlags() *flagSet {
+	f := sc.newFlags()
+	f.r = true
+	return f
+}
+
+func (sc *scratch) paramFlags(i int) *flagSet {
+	f := sc.newFlags()
+	f.ys = append(f.ys, i)
+	return f
+}
+
+// versionKey returns the key of rule rid's version for flag set fs in the
+// versions map, in keyBuf (valid until the next versionKey).
+func (sc *scratch) versionKey(rid int32, fs *flagSet) []byte {
+	sc.keyBuf = fs.appendKey(append(strconv.AppendInt(sc.keyBuf[:0], int64(rid), 10), ':'))
+	return sc.keyBuf
+}
+
+// release empties the scratch for the next run: it zeroes the arena and
+// drops every node reference, keeping every capacity. No node the arena
+// handed out may still be in use.
+func (sc *scratch) release() {
+	sc.arena.Reset()
+	clear(sc.flags)
+	clear(sc.spliced)
+	clear(sc.versions)
+	clear(sc.order[:cap(sc.order)])
+	clear(sc.anchors[:cap(sc.anchors)])
+	clear(sc.residual[:cap(sc.residual)])
+	sc.order, sc.anchors, sc.residual = sc.order[:0], sc.anchors[:0], sc.residual[:0]
+	sc.ruleEd = editor{}
+	sc.born, sc.edited, sc.pos = sc.born[:0], sc.edited[:0], sc.pos[:0]
+	sc.nFlags = 0
+	sc.rep = replacer{}
+}
+
+// getEditor opens a pooled template editor on a copy of rule's body in
+// the arena.
 func (sc *scratch) getEditor(rule *grammar.Rule) *editor {
 	var ed *editor
 	if n := len(sc.editors); n > 0 {
@@ -93,16 +150,21 @@ func (sc *scratch) getEditor(rule *grammar.Rule) *editor {
 	} else {
 		ed = &editor{}
 	}
-	ed.reset(rule, sc.arena)
+	ed.work = grammar.Rule{ID: rule.ID, Rank: rule.Rank, RHS: rule.RHS.CopyIn(sc.arena)}
+	ed.reset(&ed.work, sc.arena)
 	return ed
 }
 
 func (sc *scratch) putEditor(ed *editor) {
 	ed.rule = nil
 	ed.ix = nil
+	ed.work = grammar.Rule{}
 	// Zero the entries so a pooled editor does not pin the last rule's
 	// nodes; capacity is kept for the next visit.
 	ed.own.reset()
+	clear(ed.params)
+	clear(ed.order)
+	clear(ed.marks)
 	sc.editors = append(sc.editors, ed)
 }
 
@@ -151,17 +213,21 @@ type replacer struct {
 	// would duplicate it — they get the export treatment unconditionally
 	// (their round-start reference count is 0).
 	born     []bool
-	versions map[versionKey]*xmltree.Node // processed version bodies (templates)
-	edited   []bool                       // rules whose bodies changed or were created
+	versions map[string]*xmltree.Node // processed version bodies (templates)
+	edited   []bool                   // rules whose bodies changed or were created
 	replaced int
 }
 
+// newReplacer starts a round: the replacer it returns is the scratch's
+// own and serves until the next newReplacer on the same scratch.
 func newReplacer(g *grammar.Grammar, ix *occIndex, sc *scratch, d digram.Digram, x int32, optimized bool) *replacer {
 	n := int(g.MaxRuleID())
 	sc.born = resetBools(sc.born, n)
 	sc.edited = resetBools(sc.edited, n)
+	clear(sc.versions)
+	sc.nFlags = 0
 	ix.beginRound()
-	return &replacer{
+	sc.rep = replacer{
 		g:         g,
 		ix:        ix,
 		sc:        sc,
@@ -169,9 +235,10 @@ func newReplacer(g *grammar.Grammar, ix *occIndex, sc *scratch, d digram.Digram,
 		x:         x,
 		optimized: optimized,
 		born:      sc.born,
-		versions:  make(map[versionKey]*xmltree.Node),
+		versions:  sc.versions,
 		edited:    sc.edited,
 	}
+	return &sc.rep
 }
 
 func (r *replacer) isBorn(id int32) bool {
@@ -185,7 +252,8 @@ func (r *replacer) markEdited(id int32) {
 
 // run replaces every tracked occurrence of the digram. It returns the set
 // of edited/created rules and the rules deleted because they became
-// unreachable (paper: "If afterwards |ref_G(Q)| = 0, we delete rule Q").
+// unreachable (paper: "If afterwards |ref_G(Q)| = 0, we delete rule Q"),
+// in index buffers that serve until the next round.
 func (r *replacer) run() (edited []int32, deleted []int32) {
 	withGens := r.ix.rulesWithGenerators(r.d)
 	// Process bottom-up: callees before callers (Algorithm 5 line 2 /
@@ -196,7 +264,7 @@ func (r *replacer) run() (edited []int32, deleted []int32) {
 	for i, id := range r.ix.topoAntiSL() {
 		pos[id] = i
 	}
-	sort.Slice(withGens, func(i, j int) bool { return pos[withGens[i]] < pos[withGens[j]] })
+	slices.SortFunc(withGens, func(a, b int32) int { return pos[a] - pos[b] })
 	for _, rid := range withGens {
 		r.processRule(rid)
 	}
@@ -209,11 +277,13 @@ func (r *replacer) run() (edited []int32, deleted []int32) {
 	deleted = r.ix.collect()
 	// edited comes off the dense-slice scan already ascending; deleted
 	// rules have no index entry left.
+	edited = r.ix.edited[:0]
 	for id, e := range r.edited {
 		if e && r.ix.perRule[id] != nil {
 			edited = append(edited, int32(id))
 		}
 	}
+	r.ix.edited = edited
 	// markEdited/exportOne may have regrown the pooled tables past the
 	// scratch's references; hand the larger backings back for reuse.
 	r.sc.born = r.born
@@ -245,7 +315,7 @@ func (r *replacer) processRule(rid int32) {
 	getFlags := func(n *xmltree.Node) *flagSet {
 		f := flags[n]
 		if f == nil {
-			f = &flagSet{}
+			f = r.sc.newFlags()
 			flags[n] = f
 		}
 		return f
@@ -300,14 +370,14 @@ func (r *replacer) processRule(rid int32) {
 	}
 	for _, anchor := range residual {
 		for anchor.Label.Kind == xmltree.Nonterminal {
-			anchor = r.inlineVersionAt(ed, anchor, &flagSet{r: true})
+			anchor = r.inlineVersionAt(ed, anchor, r.sc.rootFlags())
 		}
 		for {
 			p, i := ed.parent(anchor)
 			if p == nil || p.Label.Kind != xmltree.Nonterminal {
 				break
 			}
-			r.inlineVersionAt(ed, p, &flagSet{ys: []int{i + 1}})
+			r.inlineVersionAt(ed, p, r.sc.paramFlags(i+1))
 		}
 		anchors = append(anchors, anchor)
 	}
@@ -351,21 +421,12 @@ func (r *replacer) inlineVersionAt(ed *editor, call *xmltree.Node, fs *flagSet) 
 // fragments not needed for the isolation exported into fresh rules
 // (Algorithms 7–8). The returned tree is a template; inlineCall copies it.
 func (r *replacer) version(rid int32, fs *flagSet) *xmltree.Node {
-	key := versionKey{rule: rid, fs: fs.key()}
-	if v, ok := r.versions[key]; ok {
+	if v, ok := r.versions[string(r.sc.versionKey(rid, fs))]; ok {
 		return v
 	}
-	rule := r.g.Rule(rid)
-	work := &grammar.Rule{ID: rid, Rank: rule.Rank, RHS: rule.RHS.CopyIn(r.sc.arena)}
-	ed := r.sc.getEditor(work)
-
-	paramNode := make([]*xmltree.Node, rule.Rank)
-	work.RHS.Walk(func(n *xmltree.Node) bool {
-		if n.Label.Kind == xmltree.Parameter {
-			paramNode[n.Label.ID-1] = n
-		}
-		return true
-	})
+	ed := r.sc.getEditor(r.g.Rule(rid))
+	work := &ed.work
+	paramNode := ed.params
 
 	// Flag propagation into the version copy (Section IV-E): the root
 	// gets r, the parent of each flagged parameter gets the matching y;
@@ -374,7 +435,7 @@ func (r *replacer) version(rid int32, fs *flagSet) *xmltree.Node {
 	getFlags := func(n *xmltree.Node) *flagSet {
 		f := vflags[n]
 		if f == nil {
-			f = &flagSet{}
+			f = r.sc.newFlags()
 			vflags[n] = f
 		}
 		return f
@@ -389,14 +450,8 @@ func (r *replacer) version(rid int32, fs *flagSet) *xmltree.Node {
 		}
 	}
 	if len(vflags) > 0 {
-		var order []*xmltree.Node
-		work.RHS.Walk(func(n *xmltree.Node) bool {
-			if _, ok := vflags[n]; ok {
-				order = append(order, n)
-			}
-			return true
-		})
-		for _, call := range order {
+		ed.order = appendFlagged(ed.order[:0], work.RHS, vflags)
+		for _, call := range ed.order {
 			r.inlineTemplateAt(ed, call, vflags[call])
 		}
 	}
@@ -404,10 +459,10 @@ func (r *replacer) version(rid int32, fs *flagSet) *xmltree.Node {
 
 	// Residual chains plus marking of the isolated nodes (Algorithm 7
 	// lines 6–13).
-	var marks []*xmltree.Node
+	marks := ed.marks[:0]
 	if fs.r {
 		for work.RHS.Label.Kind == xmltree.Nonterminal {
-			r.inlineTemplateAt(ed, work.RHS, &flagSet{r: true})
+			r.inlineTemplateAt(ed, work.RHS, r.sc.rootFlags())
 		}
 		marks = append(marks, work.RHS)
 	}
@@ -418,17 +473,30 @@ func (r *replacer) version(rid int32, fs *flagSet) *xmltree.Node {
 				marks = append(marks, p)
 				break
 			}
-			r.inlineTemplateAt(ed, p, &flagSet{ys: []int{i + 1}})
+			r.inlineTemplateAt(ed, p, r.sc.paramFlags(i+1))
 		}
 	}
-	r.sc.putEditor(ed)
+	ed.marks = marks
 
 	body := work.RHS
 	if r.optimized && (r.ix.refCount0(rid) > 1 || r.isBorn(rid)) && len(marks) > 0 {
 		body = r.exportFragments(body, marks)
 	}
-	r.versions[key] = body
+	r.sc.putEditor(ed)
+	r.versions[string(r.sc.versionKey(rid, fs))] = body
 	return body
+}
+
+// appendFlagged appends the nodes of the subtree rooted at n that carry
+// flags to dst, in preorder.
+func appendFlagged(dst []*xmltree.Node, n *xmltree.Node, flags map[*xmltree.Node]*flagSet) []*xmltree.Node {
+	if _, ok := flags[n]; ok {
+		dst = append(dst, n)
+	}
+	for _, c := range n.Children {
+		dst = appendFlagged(dst, c, flags)
+	}
+	return dst
 }
 
 // inlineTemplateAt inlines a sub-version (or plain body) into a version

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/digram"
@@ -79,7 +80,8 @@ func TestGrammar2MultipleVersions(t *testing.T) {
 	// (the paper derives A^y2, A^{r,y1,y2}, A^{r,y1}, A^r).
 	versionsOfA := map[string]bool{}
 	for k := range r.versions {
-		versionsOfA[k.fs] = true
+		_, fs, _ := strings.Cut(k, ":") // key: rule ID ":" flag set
+		versionsOfA[fs] = true
 	}
 	if len(versionsOfA) < 3 {
 		t.Fatalf("expected ≥3 distinct version flag sets, got %v", versionsOfA)

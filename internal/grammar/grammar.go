@@ -222,7 +222,10 @@ func (g *Grammar) NodeCount() int {
 // The copy preserves the epoch and every rule ID but is always unfrozen:
 // cloning is how a writer obtains a private mutable working copy of a
 // published generation.
-func (g *Grammar) Clone() *Grammar {
+func (g *Grammar) Clone() *Grammar { return g.CloneIn(nil) }
+
+// CloneIn is Clone with every rule body copied into the arena.
+func (g *Grammar) CloneIn(a *xmltree.Arena) *Grammar {
 	cp := &Grammar{
 		Syms:   g.Syms.Clone(),
 		Start:  g.Start,
@@ -233,7 +236,7 @@ func (g *Grammar) Clone() *Grammar {
 	}
 	for id, r := range g.rules {
 		if r != nil {
-			cp.rules[id] = &Rule{ID: r.ID, Rank: r.Rank, RHS: r.RHS.Copy()}
+			cp.rules[id] = &Rule{ID: r.ID, Rank: r.Rank, RHS: r.RHS.CopyIn(a)}
 		}
 	}
 	return cp

@@ -434,8 +434,12 @@ func TestShardedDurableFleet(t *testing.T) {
 // under the race detector: writers racing Close see either a clean
 // ack or ErrClosed — never a hang, never a third error — and every
 // post-Close mutation fails with ErrClosed while reads keep working.
+// Each writer makes one pass over the batches (a batch applies only to
+// the document its predecessors left). Close starts once every writer
+// has applied its first batch, and the pass is long enough that it
+// lands while they are still writing.
 func TestClosedFleetIsDeterministic(t *testing.T) {
-	g0, batches := durWorkload(t, "EW", 40, 4)
+	g0, batches := durWorkload(t, "EW", 600, 4)
 	s := NewSharded(3, Config{Ratio: -1})
 	const docs = 5
 	for d := 0; d < docs; d++ {
@@ -443,20 +447,18 @@ func TestClosedFleetIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	var wg, started sync.WaitGroup
 	for d := 0; d < docs; d++ {
 		wg.Add(1)
+		started.Add(1)
 		go func(d int) {
 			defer wg.Done()
+			start := sync.OnceFunc(started.Done)
+			defer start()
 			id := fmt.Sprintf("doc-%d", d)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				err := s.ApplyAll(id, batches[i%len(batches)])
+			for _, b := range batches {
+				err := s.ApplyAll(id, b)
+				start()
 				if err != nil && !errors.Is(err, ErrClosed) {
 					t.Errorf("writer saw non-ErrClosed error: %v", err)
 					return
@@ -467,10 +469,10 @@ func TestClosedFleetIsDeterministic(t *testing.T) {
 			}
 		}(d)
 	}
+	started.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
 	wg.Wait()
 
 	// Every mutation path now fails deterministically...

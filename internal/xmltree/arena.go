@@ -15,12 +15,23 @@ package xmltree
 // any live map or registered in a live Aux-indexed table (a recycled
 // pointer would alias the stale entry).
 //
+// Reset recycles every chunk at once, with the same obligation for every
+// node and Children slice handed out since the previous Reset. It zeroes
+// them (Label, Aux, Children), so a stale Aux never validates against a
+// table that is reset alongside the arena.
+//
 // All methods are nil-receiver safe: a nil *Arena falls back to plain heap
 // allocation, so arena use can be threaded through optional parameters.
 type Arena struct {
-	nodes []Node  // current node chunk, consumed from the front
-	ptrs  []*Node // current Children-slab chunk, consumed from the front
+	nodes []Node  // rest of the current node chunk, consumed from the front
+	ptrs  []*Node // rest of the current Children-slab chunk
 	free  []*Node // recycled nodes
+
+	// Every chunk carved so far, in carving order; after Reset the
+	// arena hands them out again from the first one.
+	nodeChunks         [][]Node
+	ptrChunks          [][]*Node
+	nextNode, nextPtrs int // next chunk to take from nodeChunks / ptrChunks
 }
 
 const (
@@ -46,7 +57,11 @@ func (a *Arena) New(label Symbol) *Node {
 		return nd
 	}
 	if len(a.nodes) == 0 {
-		a.nodes = make([]Node, arenaNodeChunk)
+		if a.nextNode == len(a.nodeChunks) {
+			a.nodeChunks = append(a.nodeChunks, make([]Node, arenaNodeChunk))
+		}
+		a.nodes = a.nodeChunks[a.nextNode]
+		a.nextNode++
 	}
 	nd := &a.nodes[0]
 	a.nodes = a.nodes[1:]
@@ -65,11 +80,14 @@ func (a *Arena) Children(n int) []*Node {
 		return make([]*Node, n)
 	}
 	if len(a.ptrs) < n {
-		size := arenaPtrChunk
-		if n > size {
-			size = n
+		if a.nextPtrs == len(a.ptrChunks) {
+			a.ptrChunks = append(a.ptrChunks, nil)
 		}
-		a.ptrs = make([]*Node, size)
+		if len(a.ptrChunks[a.nextPtrs]) < n {
+			a.ptrChunks[a.nextPtrs] = make([]*Node, max(arenaPtrChunk, n))
+		}
+		a.ptrs = a.ptrChunks[a.nextPtrs]
+		a.nextPtrs++
 	}
 	s := a.ptrs[:n:n]
 	a.ptrs = a.ptrs[n:]
@@ -85,6 +103,22 @@ func (a *Arena) Free(n *Node) {
 	}
 	n.Children = nil
 	a.free = append(a.free, n)
+}
+
+// Reset zeroes every node and Children slice handed out so far and makes
+// the arena hand out the same memory again, keeping its chunks. See the
+// type comment for the aliasing obligations.
+func (a *Arena) Reset() {
+	for _, c := range a.nodeChunks[:a.nextNode] {
+		clear(c)
+	}
+	for _, c := range a.ptrChunks[:a.nextPtrs] {
+		clear(c)
+	}
+	clear(a.free)
+	a.free = a.free[:0]
+	a.nodes, a.ptrs = nil, nil
+	a.nextNode, a.nextPtrs = 0, 0
 }
 
 // CopyIn returns a deep copy of the subtree rooted at n, with every node

@@ -86,3 +86,44 @@ func TestArenaCopyAllocsAmortized(t *testing.T) {
 		t.Fatalf("arena copy allocated %.1f times per run", allocs)
 	}
 }
+
+// TestArenaResetReusesZeroedChunks: after Reset the arena hands out the
+// same nodes and Children slabs again, zeroed, and allocates nothing
+// while the earlier chunks suffice.
+func TestArenaResetReusesZeroedChunks(t *testing.T) {
+	var a Arena
+	fill := func() []*Node {
+		var out []*Node
+		for i := 0; i < 3*arenaNodeChunk; i++ {
+			n := a.New(Term(int32(i)))
+			n.Aux = int32(i)
+			n.Children = a.Children(2)
+			n.Children[0] = n
+			out = append(out, n)
+		}
+		big := a.Children(2 * arenaPtrChunk) // larger than a chunk
+		big[0] = out[0]
+		return out
+	}
+	first := fill()
+	a.Free(first[len(first)-1])
+	a.Reset()
+	for _, n := range first {
+		if n.Label != (Symbol{}) || n.Aux != 0 || n.Children != nil {
+			t.Fatalf("node not zeroed by Reset: %+v", *n)
+		}
+	}
+	if n := a.New(Term(7)); n != first[0] || n.Label != Term(7) {
+		t.Fatal("Reset did not rewind to the first chunk")
+	}
+	a.Reset()
+	if allocs := testing.AllocsPerRun(5, func() {
+		a.Reset()
+		for i := 0; i < 3*arenaNodeChunk; i++ {
+			a.New(Term(1)).Children = a.Children(2)
+		}
+		a.Children(2 * arenaPtrChunk)
+	}); allocs != 0 {
+		t.Fatalf("refilling a reset arena allocated %.0f times", allocs)
+	}
+}

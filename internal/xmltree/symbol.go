@@ -4,7 +4,10 @@
 // and structure-only XML parsing and serialization.
 package xmltree
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // SymKind distinguishes the three symbol classes of the formal model:
 // ranked terminals (F), ranked nonterminals (N), and formal parameters (Y).
@@ -106,12 +109,12 @@ func (st *SymbolTable) InternElement(name string) int32 { return st.Intern(name,
 
 // Fresh creates a new terminal that is guaranteed not to collide with any
 // existing one (used for the digram pattern nonterminal-turned-terminal X).
+// Its name is prefix followed by its ID, and Intern never returns it: an
+// interned label of the same name and rank stays a symbol of its own.
 func (st *SymbolTable) Fresh(prefix string, rank int) int32 {
 	id := int32(len(st.names))
-	name := fmt.Sprintf("%s%d", prefix, id)
-	st.names = append(st.names, name)
+	st.names = append(st.names, prefix+strconv.Itoa(int(id)))
 	st.ranks = append(st.ranks, rank)
-	st.byKey[symKey{name, rank}] = id
 	return id
 }
 
@@ -122,7 +125,9 @@ func (st *SymbolTable) Fresh(prefix string, rank int) int32 {
 // node may still carry a dropped terminal.
 func (st *SymbolTable) Truncate(n int) {
 	for id := n; id < len(st.names); id++ {
-		delete(st.byKey, symKey{st.names[id], st.ranks[id]})
+		if k := (symKey{st.names[id], st.ranks[id]}); st.byKey[k] == int32(id) {
+			delete(st.byKey, k)
+		}
 	}
 	clear(st.names[n:])
 	st.names = st.names[:n]

@@ -351,3 +351,22 @@ func TestSymbolTableTruncate(t *testing.T) {
 		t.Fatalf("dropped terminal %s still interned", xname)
 	}
 }
+
+// TestSymbolTableFreshKeepsInterned checks that a fresh terminal whose
+// generated name and rank equal an interned label's neither shadows that
+// label nor takes it along when Truncate drops the fresh terminal.
+func TestSymbolTableFreshKeepsInterned(t *testing.T) {
+	st := NewSymbolTable()
+	x2 := st.Intern("X2", 3)
+	n := st.Len()
+	if f := st.Fresh("X", 3); st.Name(f) != "X2" {
+		t.Fatalf("fresh terminal named %q, want X2", st.Name(f))
+	}
+	if got := st.Intern("X2", 3); got != x2 {
+		t.Fatalf("Intern(X2) = %d after Fresh, want %d", got, x2)
+	}
+	st.Truncate(n)
+	if got := st.Intern("X2", 3); got != x2 || st.Len() != n {
+		t.Fatalf("Intern(X2) = %d (Len %d) after Truncate, want %d (Len %d)", got, st.Len(), x2, n)
+	}
+}

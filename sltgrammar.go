@@ -341,7 +341,8 @@ func CompressTreeGR(doc *Document, opt ...Options) (*Grammar, *CompressStats) {
 
 // Recompress runs GrammarRePair on a grammar — the paper's contribution:
 // the result derives the same tree but is recompressed as if from
-// scratch, without ever materializing the tree.
+// scratch, without ever materializing the tree. It only reads g and is
+// safe for concurrent use.
 func Recompress(g *Grammar, opt ...Options) (*Grammar, *CompressStats) {
 	o := first(opt)
 	return core.Compress(g, core.Options{MaxRank: o.MaxRank, NoOptimize: o.NoOptimize})
