@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/digram"
+	"repro/internal/freelist"
 	"repro/internal/grammar"
 	"repro/internal/xmltree"
 )
@@ -45,13 +44,13 @@ type Stats struct {
 // Compress is safe for concurrent use; it only reads its input. It
 // reuses its scratch from one run to the next: each run takes an
 // emptied run state (occurrence index, node arena, replacer tables)
-// from a pool and hands it back once the output has been copied out of
-// it, so a warm run allocates its output, not its index.
+// from a free list and hands it back once the output has been copied out
+// of it, so a warm run allocates its output, not its index.
 func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
-	rs := runPool.Get().(*runState)
+	rs := runStates.Get()
 	g, st := rs.compress(in, opt)
 	rs.release()
-	runPool.Put(rs)
+	runStates.Put(rs)
 	return g, st
 }
 
@@ -80,8 +79,8 @@ type made struct {
 	d    digram.Digram
 }
 
-// runPool holds the idle run states Compress reuses.
-var runPool = sync.Pool{New: func() any { return newRunState() }}
+// runStates holds the idle run states Compress reuses.
+var runStates = freelist.List[runState]{New: newRunState}
 
 func newRunState() *runState {
 	return &runState{sc: newScratch(), ntOf: make(map[int32]int32)}

@@ -12,38 +12,51 @@ const MaxCount = 1e300
 const zeroCount = 1e-9
 
 // Queue holds the current frequency of every digram and orders the
-// digrams by it. It is an exact indexed max-heap: the heap holds one entry
-// per digram whose count is > 0, and a count change moves that entry in
-// place instead of pushing a new one.
+// digrams by it. It is an exact indexed max-heap with one entry per
+// digram whose count is > 0, repaired lazily: a count change is stored
+// at once and marks the digram's slot dirty, and the heap is repaired
+// only when it is asked for its order (Best, Len). The repair re-sifts
+// each dirty slot once, however often its count changed since the last
+// repair, or heapifies the whole heap once when most of it is dirty (as
+// after a compressor's full occurrence rebuild).
 //
 // Every digram the queue has seen gets a dense slot ID through one flat
-// Table lookup; the slot holds the digram's count and its heap position,
-// and the heap itself is a slice of slot IDs. A count change therefore
-// costs one hash, and sift swaps fix positions by slot ID without hashing.
-// Slots are never freed: a digram whose count drops to 0 leaves the heap
-// but keeps its slot, so re-inserting it costs no allocation.
+// Table lookup; the slot holds the digram's live count, the count the
+// heap last ordered it by, and its heap position, and the heap itself is
+// a slice of slot IDs. A count change therefore costs one hash (none
+// through SetSlot), and sift swaps fix positions by slot ID without
+// hashing. Slots are never freed: a digram whose count drops to 0 leaves
+// the heap but keeps its slot, so re-inserting it costs no allocation.
 //
 // Order is count descending, then Key ascending (which equals Digram.Less),
-// so compression runs are deterministic. Counts are float64 because
-// GrammarRePair weights generators by rule usage counts.
+// so compression runs are deterministic: the order is total, so the top
+// does not depend on the sequence of sifts that led to it. Counts are
+// float64 because GrammarRePair weights generators by rule usage counts.
 //
 // The zero Queue is ready to use.
 type Queue struct {
 	ids   Table[int32] // Key -> slot ID + 1 (0 = no slot yet)
 	slots []slot
-	heap  []int32 // slot IDs
+	heap  []int32 // slot IDs, ordered by held counts
+	dirty []int32 // slots whose count changed since the last repair
 }
 
 type slot struct {
 	key   Key
-	count float64
-	pos   int32 // index in heap; -1 while the count is 0
+	count float64 // live count
+	held  float64 // count the heap orders this slot by
+	pos   int32   // index in heap; -1 while not queued
+	dirty bool    // listed in Queue.dirty
 }
 
 // Update sets the frequency of d. A count ≤ 0 removes d from the heap.
 func (q *Queue) Update(d Digram, count float64) {
 	q.set(q.slotOf(d.Key()), count)
 }
+
+// SetSlot sets the frequency of the digram with slot ID id (see Slot),
+// without hashing. A count ≤ 0 removes it from the heap.
+func (q *Queue) SetSlot(id int32, count float64) { q.set(id, count) }
 
 // Add changes the frequency of d by delta. The result saturates at
 // MaxCount, and a result ≤ 1e-9 (float residue of removed contributions)
@@ -74,6 +87,7 @@ func (q *Queue) Count(d Digram) float64 {
 // stays queued: the compressors replace it, and the replacement itself
 // lowers its count.
 func (q *Queue) Best() (d Digram, count float64, ok bool) {
+	q.repair()
 	if len(q.heap) == 0 {
 		return Digram{}, 0, false
 	}
@@ -85,13 +99,29 @@ func (q *Queue) Best() (d Digram, count float64, ok bool) {
 }
 
 // Len returns the number of digrams whose count is > 0.
-func (q *Queue) Len() int { return len(q.heap) }
+func (q *Queue) Len() int {
+	q.repair()
+	return len(q.heap)
+}
 
 // Reset empties the queue, keeping its capacity.
 func (q *Queue) Reset() {
 	q.ids.Clear()
 	q.slots = q.slots[:0]
 	q.heap = q.heap[:0]
+	q.dirty = q.dirty[:0]
+}
+
+// Zero sets every count to 0, keeping the slots and their IDs: a
+// compressor that rebuilds its occurrence counts from scratch keeps its
+// per-slot side tables.
+func (q *Queue) Zero() {
+	for i := range q.slots {
+		s := &q.slots[i]
+		s.count, s.held, s.pos, s.dirty = 0, 0, -1, false
+	}
+	q.heap = q.heap[:0]
+	q.dirty = q.dirty[:0]
 }
 
 // Slot returns the slot ID of digram key k, creating an empty slot on
@@ -110,23 +140,76 @@ func (q *Queue) slotOf(k Key) int32 {
 	return *p - 1
 }
 
-// set stores a new count in slot id and restores the heap order.
+// set stores a new count in slot id; the next repair moves its entry.
 func (q *Queue) set(id int32, c float64) {
 	s := &q.slots[id]
-	old := s.count
 	s.count = c
-	switch i := int(s.pos); {
-	case i < 0:
-		if c > 0 {
+	if !s.dirty {
+		s.dirty = true
+		q.dirty = append(q.dirty, id)
+	}
+}
+
+// repair restores the heap order over the live counts. Every slot not
+// dirty holds its live count already; each dirty slot takes its live
+// count once and moves once. When most of the heap is dirty, one
+// bottom-up heapify is cheaper than a sift per dirty slot.
+func (q *Queue) repair() {
+	if len(q.dirty) == 0 {
+		return
+	}
+	if 2*len(q.dirty) > len(q.heap) {
+		q.heapify()
+		return
+	}
+	for _, id := range q.dirty {
+		s := &q.slots[id]
+		s.dirty = false
+		old, c := s.held, s.count
+		s.held = c
+		switch i := int(s.pos); {
+		case i < 0:
+			if c > 0 {
+				s.pos = int32(len(q.heap))
+				q.heap = append(q.heap, id)
+				q.up(len(q.heap) - 1)
+			}
+		case c <= 0:
+			q.remove(i)
+		case c > old:
+			q.up(i)
+		case c < old:
+			q.down(i)
+		}
+	}
+	q.dirty = q.dirty[:0]
+}
+
+// heapify takes every dirty slot's live count, rebuilds the heap's entry
+// set (dropping slots whose count fell to 0, adding those that rose from
+// it) and restores the order bottom-up.
+func (q *Queue) heapify() {
+	for _, id := range q.dirty {
+		s := &q.slots[id]
+		s.dirty = false
+		s.held = s.count
+		if s.pos < 0 && s.count > 0 {
 			s.pos = int32(len(q.heap))
 			q.heap = append(q.heap, id)
-			q.up(len(q.heap) - 1)
 		}
-	case c <= 0:
-		q.remove(i)
-	case c > old:
-		q.up(i)
-	case c < old:
+	}
+	q.dirty = q.dirty[:0]
+	h := q.heap[:0]
+	for _, id := range q.heap {
+		if s := &q.slots[id]; s.held > 0 {
+			s.pos = int32(len(h))
+			h = append(h, id)
+		} else {
+			s.pos = -1
+		}
+	}
+	q.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
 		q.down(i)
 	}
 }
@@ -147,11 +230,12 @@ func (q *Queue) remove(i int) {
 	}
 }
 
-// before orders heap positions: count descending, then key ascending.
+// before orders heap positions by held count descending, then key
+// ascending.
 func (q *Queue) before(i, j int) bool {
 	a, b := &q.slots[q.heap[i]], &q.slots[q.heap[j]]
-	if a.count != b.count {
-		return a.count > b.count
+	if a.held != b.held {
+		return a.held > b.held
 	}
 	return a.key < b.key
 }

@@ -3,6 +3,7 @@ package grammar
 import (
 	"fmt"
 
+	"repro/internal/freelist"
 	"repro/internal/xmltree"
 )
 
@@ -16,7 +17,9 @@ func (g *Grammar) InlineEverywhere(id int32) error {
 	if g.Rule(id) == nil {
 		return fmt.Errorf("grammar: no rule N%d", id)
 	}
-	newPruner(g).inline(id)
+	p := newPruner(g)
+	p.inline(id)
+	p.done()
 	return nil
 }
 
@@ -36,9 +39,13 @@ func Sav(refs int, edges int, rank int) int {
 // sites and its body, never a rule that does not call it. A call node's
 // position in its callee's list lives in its Aux field, which the pruner
 // owns while it runs; a call leaves its list in O(1).
+//
+// Pruners are recycled: done empties the lists, keeping their capacity,
+// and hands the pruner to the next newPruner.
 type pruner struct {
 	g     *Grammar
-	sites [][]*xmltree.Node // by callee rule ID
+	sites [][]*xmltree.Node // by callee rule ID; its length only grows
+	used  int               // sites entries g's rule IDs can index
 
 	// visits counts the body nodes inlines and deletes touch (building
 	// the lists is one walk of the grammar and is not counted); tests use
@@ -46,8 +53,14 @@ type pruner struct {
 	visits int
 }
 
+// pruners holds the idle pruners newPruner hands out.
+var pruners = freelist.List[pruner]{New: func() *pruner { return new(pruner) }}
+
+// newPruner returns a pruner holding the call-site lists of g.
 func newPruner(g *Grammar) *pruner {
-	p := &pruner{g: g, sites: make([][]*xmltree.Node, g.nextNT)}
+	p := pruners.Get()
+	p.g, p.used = g, int(g.nextNT)
+	p.sites = GrowTo(p.sites, p.used)
 	for _, id := range g.order {
 		g.rules[id].RHS.Walk(func(v *xmltree.Node) bool {
 			if v.Label.Kind == xmltree.Nonterminal {
@@ -57,6 +70,18 @@ func newPruner(g *Grammar) *pruner {
 		})
 	}
 	return p
+}
+
+// done empties the pruner, zeroing every node reference and keeping the
+// lists' capacity, and hands it back for reuse. The caller must not use
+// it after.
+func (p *pruner) done() {
+	for i, s := range p.sites[:p.used] {
+		clear(s)
+		p.sites[i] = s[:0]
+	}
+	*p = pruner{sites: p.sites}
+	pruners.Put(p)
 }
 
 // join appends call node n to its callee's list.
@@ -90,7 +115,9 @@ func (p *pruner) leave(n *xmltree.Node) {
 func (p *pruner) inline(id int32) {
 	body := p.g.rules[id].RHS
 	sites := p.sites[id]
-	p.sites[id] = nil
+	// Nothing joins id's list below (no body calls id), so it can keep
+	// its capacity; its node references are cleared once the loop is done.
+	p.sites[id] = sites[:0]
 	p.g.DeleteRule(id)
 	if len(sites) == 0 {
 		p.drop(body)
@@ -111,6 +138,7 @@ func (p *pruner) inline(id int32) {
 			p.sites[root.Label.ID][root.Aux] = n
 		}
 	}
+	clear(sites)
 }
 
 // copyBody returns a copy of body t with parameter y_i replaced by
@@ -167,7 +195,10 @@ func (p *pruner) drop(t *xmltree.Node) {
 // inline and delete keeps exact, so each decision sees the current count
 // and pruning k rules costs their call sites and bodies, not k·|G|.
 func (g *Grammar) Prune() int {
-	return newPruner(g).run()
+	p := newPruner(g)
+	removed := p.run()
+	p.done()
+	return removed
 }
 
 func (p *pruner) run() int {

@@ -15,7 +15,10 @@
 package treerepair
 
 import (
+	"slices"
+
 	"repro/internal/digram"
+	"repro/internal/freelist"
 	"repro/internal/grammar"
 	"repro/internal/xmltree"
 )
@@ -53,8 +56,38 @@ func Compress(doc *xmltree.Document, opt Options) (*grammar.Grammar, *Stats) {
 }
 
 // CompressTree runs TreeRePair on an arbitrary ranked tree of terminals.
+//
+// CompressTree is safe for concurrent use; it only reads its input. It
+// reuses its working tree from one run to the next: each run takes an
+// emptied engine (node arena, slab, digram queue, occurrence lists) from
+// a free list and hands it back once the output grammar has been built,
+// so a warm run allocates its output, not its working tree.
 func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
-	g, e := replaceDigrams(st, root, opt)
+	e := engines.Get()
+	g, stats := e.compress(st, root, opt)
+	e.release()
+	engines.Put(e)
+	return g, stats
+}
+
+// Unpruned runs CompressTree up to its pruning phase and returns the
+// grammar CompressTree hands to Prune, so that tests can check Prune on
+// it.
+func Unpruned(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) *grammar.Grammar {
+	e := engines.Get()
+	g := e.replaceDigrams(st, root, opt)
+	e.release()
+	engines.Put(e)
+	return g
+}
+
+// engines holds the idle engines CompressTree reuses.
+var engines = freelist.List[engine]{New: func() *engine { return new(engine) }}
+
+// compress is CompressTree on this engine. The output shares nothing
+// with the engine.
+func (e *engine) compress(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
+	g := e.replaceDigrams(st, root, opt)
 	e.stats.PrunedRules = g.Prune()
 	// The generated terminals are nonterminals now; drop them from the
 	// table (the run worked on a clone of st).
@@ -63,127 +96,76 @@ func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*gr
 	return g, e.stats
 }
 
-// Unpruned runs CompressTree up to its pruning phase and returns the
-// grammar CompressTree hands to Prune, so that tests can check Prune on
-// it.
-func Unpruned(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) *grammar.Grammar {
-	g, _ := replaceDigrams(st, root, opt)
-	return g
-}
-
 // replaceDigrams runs the replacement rounds of CompressTree and returns
-// the unpruned grammar with the engine holding the run's stats.
-func replaceDigrams(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *engine) {
-	e := newEngine(st.Clone(), root, opt.maxRank())
-	e.buildOccurrences()
-	for {
-		d, _, ok := e.queue.Best()
-		if !ok {
-			break
-		}
-		e.replaceAll(d)
-		e.maybeRebuild()
+// the unpruned grammar, with the engine holding the run's stats.
+func (e *engine) replaceDigrams(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) *grammar.Grammar {
+	e.init(st.Clone(), root, opt.maxRank())
+	for e.round() {
 	}
-	return e.toGrammar(), e
+	return e.toGrammar()
 }
 
-// tnode is the mutable tree node used during compression. Nodes live in a
-// chunked arena and reference each other by int32 index; children and occ
-// are carved from a shared int32 slab. occ[i] is the node's position in
-// the occurrence list of the digram (label, i+1, label(children[i])) when
-// the node is a stored occurrence parent for child edge i, and -1
-// otherwise — the intrusive replacement for the old per-set position map.
+// round replaces the most frequent digram, if one occurs at least twice,
+// and reports whether it did.
+func (e *engine) round() bool {
+	d, _, ok := e.queue.Best()
+	if !ok {
+		return false
+	}
+	e.replaceAll(d)
+	e.maybeRebuild()
+	return true
+}
+
+// tnode is the mutable tree node used during compression. It holds no
+// pointer, so the node arena and the slab are never scanned by the
+// garbage collector. Nodes live in a flat arena and reference each other
+// by int32 index. A node's n children and its n occurrence positions are
+// one block of the engine's int32 slab at offset off: slab[off+i] is
+// child i, and slab[off+n+i] is the node's position in the occurrence
+// list of the digram (label, i+1, label(child i)) when the node is a
+// stored occurrence parent for child edge i, and -1 otherwise.
 type tnode struct {
-	label    int32
-	parent   int32 // arena index of the parent; -1 for the root
-	idx      int32 // index within parent's children
-	children []int32
-	occ      []int32
+	label  int32
+	parent int32 // arena index of the parent; nilNode for the root
+	idx    int32 // index within parent's children
+	n      int32 // number of children
+	off    int32 // slab offset of the children and occurrence positions
 }
 
-const (
-	nilNode       = int32(-1)
-	nodeChunkBits = 13
-	nodeChunkSize = 1 << nodeChunkBits
-)
-
-// nodeArena allocates tnodes in fixed-size chunks. Chunk backing arrays
-// never move, so *tnode pointers obtained via at() stay valid across
-// later allocations. Freed nodes are recycled through a freelist, which
-// bounds arena growth by the input size (each replacement frees two nodes
-// and allocates one).
-type nodeArena struct {
-	chunks [][]tnode
-	free   []int32
-	n      int32 // high-water mark of allocated indices
-}
-
-func (a *nodeArena) alloc() int32 {
-	if n := len(a.free); n > 0 {
-		id := a.free[n-1]
-		a.free = a.free[:n-1]
-		*a.at(id) = tnode{}
-		return id
-	}
-	if int(a.n)>>nodeChunkBits >= len(a.chunks) {
-		a.chunks = append(a.chunks, make([]tnode, nodeChunkSize))
-	}
-	id := a.n
-	a.n++
-	return id
-}
-
-func (a *nodeArena) at(id int32) *tnode {
-	return &a.chunks[id>>nodeChunkBits][id&(nodeChunkSize-1)]
-}
-
-// release recycles a node. The caller must have removed every occurrence
-// reference to it first; stale indices held elsewhere (e.g. a replacement
-// snapshot) are harmless because the recycled node's label can never match
-// the digram being replaced.
-func (a *nodeArena) release(id int32) { a.free = append(a.free, id) }
-
-// i32Slab hands out []int32 scratch carved from chunked buffers. Slices
-// are never reclaimed individually; superseded ones simply leak into their
-// chunk, which the replacement freelist keeps bounded.
-type i32Slab struct {
-	cur []int32
-}
-
-const i32ChunkSize = 1 << 14
-
-func (s *i32Slab) alloc(n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	if len(s.cur) < n {
-		size := i32ChunkSize
-		if n > size {
-			size = n
-		}
-		s.cur = make([]int32, size)
-	}
-	out := s.cur[:n:n]
-	s.cur = s.cur[n:]
-	return out
-}
+const nilNode = int32(-1)
 
 type madeRule struct {
 	term int32 // the generated terminal standing for X
 	d    digram.Digram
 }
 
+// engine is the working state of one TreeRePair run. Between runs it is
+// empty (release) and keeps every capacity.
 type engine struct {
 	st      *xmltree.SymbolTable
-	arena   nodeArena
-	slab    i32Slab
 	root    int32
 	maxRank int
 
-	occs  digram.Table[[]int32] // packed digram key -> stored parent indices
-	queue digram.Queue          // each digram's occurrence-list length
+	// nodes is the node arena and free the indices of released nodes,
+	// which alloc hands out again: each replacement frees two nodes and
+	// allocates one, so the arena never outgrows the input tree. A
+	// *tnode from at stays valid until the next alloc.
+	nodes []tnode
+	free  []int32
+	// slab holds every node's children and occurrence positions (see
+	// tnode). A replaced node's block is not reused; the slab grows by
+	// the children of the nodes the rounds create.
+	slab []int32
+
+	queue digram.Queue // each digram's occurrence-list length
+	// occs lists, by the digram's queue slot, the arena indices of its
+	// stored occurrence parents. It keeps its length across runs, so
+	// that its inner lists keep their capacity.
+	occs  [][]int32
 	rules []madeRule
 	snap  []int32 // reusable replacement snapshot
+	ntOf  map[int32]int32
 
 	nodeCount int // live nodes in the tree
 	ruleEdges int // Σ edges of created rules
@@ -192,31 +174,83 @@ type engine struct {
 	stats *Stats
 }
 
-func newEngine(st *xmltree.SymbolTable, root *xmltree.Node, maxRank int) *engine {
-	e := &engine{
-		st:      st,
-		maxRank: maxRank,
-		stats:   &Stats{InputEdges: root.Edges()},
-	}
-	e.root = e.convert(root, nilNode, 0)
+// init converts root into the empty engine's working tree and registers
+// every occurrence.
+func (e *engine) init(st *xmltree.SymbolTable, root *xmltree.Node, maxRank int) {
+	e.st, e.maxRank = st, maxRank
+	e.stats = &Stats{InputEdges: root.Edges()}
 	e.nodeCount = root.Size()
-	return e
+	e.nodes = slices.Grow(e.nodes, e.nodeCount)
+	e.slab = slices.Grow(e.slab, 2*(e.nodeCount-1))
+	e.root = e.convert(root, nilNode, 0)
+	e.buildOccurrences()
 }
 
+// release empties the engine for the next run, keeping every capacity.
+// Nothing of the engine is part of an output.
+func (e *engine) release() {
+	e.queue.Reset()
+	for i := range e.occs {
+		e.occs[i] = e.occs[i][:0]
+	}
+	clear(e.ntOf)
+	*e = engine{
+		nodes: e.nodes[:0],
+		free:  e.free[:0],
+		slab:  e.slab[:0],
+		queue: e.queue,
+		occs:  e.occs,
+		rules: e.rules[:0],
+		snap:  e.snap[:0],
+		ntOf:  e.ntOf,
+	}
+}
+
+func (e *engine) at(id int32) *tnode { return &e.nodes[id] }
+
+// alloc returns the index of a node whose fields the caller sets.
+func (e *engine) alloc() int32 {
+	if n := len(e.free); n > 0 {
+		id := e.free[n-1]
+		e.free = e.free[:n-1]
+		return id
+	}
+	e.nodes = append(e.nodes, tnode{})
+	return int32(len(e.nodes) - 1)
+}
+
+// release recycles a node. The caller must have removed every occurrence
+// reference to it first; stale indices held elsewhere (e.g. a replacement
+// snapshot) are harmless because the recycled node's label can never match
+// the digram being replaced.
+func (e *engine) releaseNode(id int32) { e.free = append(e.free, id) }
+
+// block returns the slab offset of a new block for n children and their
+// occurrence positions. Slices of the slab taken before are stale after.
+func (e *engine) block(n int) int32 {
+	off := len(e.slab)
+	e.slab = slices.Grow(e.slab, 2*n)[:off+2*n]
+	return int32(off)
+}
+
+// child returns the arena index of child i of v.
+func (e *engine) child(v *tnode, i int) int32 { return e.slab[int(v.off)+i] }
+
+// occAt returns the slab index of v's occurrence position for child edge i.
+func occAt(v *tnode, i int) int { return int(v.off+v.n) + i }
+
 func (e *engine) convert(n *xmltree.Node, parent, idx int32) int32 {
-	id := e.arena.alloc()
-	t := e.arena.at(id)
-	t.label = n.Label.ID
-	t.parent = parent
-	t.idx = idx
-	if len(n.Children) > 0 {
-		t.children = e.slab.alloc(len(n.Children))
-		t.occ = e.slab.alloc(len(n.Children))
-		for i, c := range n.Children {
-			t.occ[i] = -1
-			// t stays valid: arena chunks never move.
-			t.children[i] = e.convert(c, id, int32(i))
-		}
+	id := e.alloc()
+	k := int32(len(n.Children))
+	var off int32
+	if k > 0 {
+		off = e.block(int(k))
+	}
+	*e.at(id) = tnode{label: n.Label.ID, parent: parent, idx: idx, n: k, off: off}
+	for i, c := range n.Children {
+		e.slab[off+k+int32(i)] = -1
+		cid := e.convert(c, id, int32(i))
+		e.slab[off+int32(i)] = cid
 	}
 	return id
 }
@@ -234,8 +268,8 @@ func (e *engine) tracked(d digram.Digram) bool {
 // edge.
 func (e *engine) stored(v *tnode, d digram.Digram) bool {
 	i := d.I - 1
-	return v.label == d.A && i < len(v.children) &&
-		v.occ[i] >= 0 && e.arena.at(v.children[i]).label == d.B
+	return v.label == d.A && i < int(v.n) &&
+		e.slab[occAt(v, i)] >= 0 && e.at(e.child(v, i)).label == d.B
 }
 
 // tryAdd registers the occurrence whose tree parent is vid for digram d,
@@ -246,70 +280,85 @@ func (e *engine) tryAdd(vid int32, d digram.Digram) {
 	if !e.tracked(d) {
 		return
 	}
-	v := e.arena.at(vid)
+	v := e.at(vid)
 	if d.EqualLabels() {
-		w := e.arena.at(v.children[d.I-1])
-		if e.stored(w, d) {
+		if e.stored(e.at(e.child(v, d.I-1)), d) {
 			return
 		}
 		if v.parent != nilNode && int(v.idx) == d.I-1 {
-			if p := e.arena.at(v.parent); p.label == d.A && e.stored(p, d) {
+			if p := e.at(v.parent); p.label == d.A && e.stored(p, d) {
 				return
 			}
 		}
 	}
-	if v.occ[d.I-1] >= 0 {
+	o := occAt(v, d.I-1)
+	if e.slab[o] >= 0 {
 		return // already stored
 	}
-	lst := e.occs.Ref(d.Key())
-	v.occ[d.I-1] = int32(len(*lst))
+	id := e.queue.Slot(d.Key())
+	if int(id) >= len(e.occs) {
+		e.occs = append(e.occs, nil)
+	}
+	lst := &e.occs[id]
+	e.slab[o] = int32(len(*lst))
 	*lst = append(*lst, vid)
 	e.churn++
-	e.queue.Update(d, float64(len(*lst)))
+	e.queue.SetSlot(id, float64(len(*lst)))
 }
 
 func (e *engine) removeOcc(vid int32, d digram.Digram) {
-	v := e.arena.at(vid)
+	v := e.at(vid)
 	i := d.I - 1
-	if i >= len(v.occ) || v.occ[i] < 0 {
+	if i >= int(v.n) {
 		return
 	}
-	// Callers construct d from the node's current labels, so occ[i] ≥ 0
-	// means v sits in exactly d's occurrence list.
-	lst := e.occs.Ref(d.Key())
-	pos := v.occ[i]
-	last := len(*lst) - 1
-	moved := (*lst)[last]
-	(*lst)[pos] = moved
-	e.arena.at(moved).occ[i] = pos
-	*lst = (*lst)[:last]
-	v.occ[i] = -1
+	o := occAt(v, i)
+	pos := e.slab[o]
+	if pos < 0 {
+		return
+	}
+	// Callers construct d from the node's current labels, so a stored
+	// position means v sits in exactly d's occurrence list.
+	id := e.queue.Slot(d.Key())
+	lst := e.occs[id]
+	last := len(lst) - 1
+	moved := lst[last]
+	lst[pos] = moved
+	e.slab[occAt(e.at(moved), i)] = pos
+	e.occs[id] = lst[:last]
+	e.slab[o] = -1
 	e.churn++
-	e.queue.Update(d, float64(last))
+	e.queue.SetSlot(id, float64(last))
 }
 
 // buildOccurrences scans the whole tree in postorder (bottom-up greedy,
 // as TreeRePair does) and registers every non-overlapping occurrence.
-// Intrusive positions are wiped preorder (parents before their subtrees)
-// so the postorder re-registration never sees stale state.
+// It zeroes every count and empties every list in place, keeping the
+// digrams' slots. Intrusive positions are wiped preorder (parents before
+// their subtrees) so the postorder re-registration never sees stale
+// state.
 func (e *engine) buildOccurrences() {
-	e.occs.Clear()
-	e.queue.Reset()
-	var rec func(vid int32)
-	rec = func(vid int32) {
-		v := e.arena.at(vid)
-		for i := range v.occ {
-			v.occ[i] = -1
-		}
-		for _, c := range v.children {
-			rec(c)
-		}
-		for i, c := range v.children {
-			e.tryAdd(vid, digram.Digram{A: v.label, I: i + 1, B: e.arena.at(c).label})
-		}
+	e.queue.Zero()
+	for i := range e.occs {
+		e.occs[i] = e.occs[i][:0]
 	}
-	rec(e.root)
+	e.register(e.root)
 	e.churn = 0
+}
+
+func (e *engine) register(vid int32) {
+	v := *e.at(vid)
+	n := int(v.n)
+	occ := e.slab[int(v.off)+n : int(v.off)+2*n]
+	for i := range occ {
+		occ[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		e.register(e.child(&v, i))
+	}
+	for i := 0; i < n; i++ {
+		e.tryAdd(vid, digram.Digram{A: v.label, I: i + 1, B: e.at(e.child(&v, i)).label})
+	}
 }
 
 // maybeRebuild re-derives all occurrence sets from scratch once enough
@@ -327,7 +376,7 @@ func (e *engine) maybeRebuild() {
 // terminal X and performs the Section IV-C context updates around each
 // replacement site.
 func (e *engine) replaceAll(d digram.Digram) {
-	s, _ := e.occs.Get(d.Key())
+	s := e.occs[e.queue.Slot(d.Key())]
 	if len(s) < 2 {
 		return
 	}
@@ -337,7 +386,7 @@ func (e *engine) replaceAll(d digram.Digram) {
 
 	e.snap = append(e.snap[:0], s...)
 	for _, vid := range e.snap {
-		if !e.stored(e.arena.at(vid), d) {
+		if !e.stored(e.at(vid), d) {
 			continue
 		}
 		e.replaceOne(vid, d, x)
@@ -355,61 +404,59 @@ func (e *engine) grammarSizeNow() int {
 }
 
 func (e *engine) replaceOne(vid int32, d digram.Digram, x int32) {
-	v := e.arena.at(vid)
-	wid := v.children[d.I-1]
-	w := e.arena.at(wid)
+	v := *e.at(vid)
+	i := d.I - 1
+	wid := e.child(&v, i)
+	w := *e.at(wid)
 	// Context removals: every stored occurrence that shares a node with
 	// (v, w) is keyed by p (parent of v), by v, or by w.
 	if v.parent != nilNode {
-		p := e.arena.at(v.parent)
+		p := e.at(v.parent)
 		e.removeOcc(v.parent, digram.Digram{A: p.label, I: int(v.idx) + 1, B: v.label})
 	}
-	for i, c := range v.children {
-		e.removeOcc(vid, digram.Digram{A: v.label, I: i + 1, B: e.arena.at(c).label})
+	for j := 0; j < int(v.n); j++ {
+		e.removeOcc(vid, digram.Digram{A: v.label, I: j + 1, B: e.at(e.child(&v, j)).label})
 	}
-	for i, c := range w.children {
-		e.removeOcc(wid, digram.Digram{A: w.label, I: i + 1, B: e.arena.at(c).label})
+	for j := 0; j < int(w.n); j++ {
+		e.removeOcc(wid, digram.Digram{A: w.label, I: j + 1, B: e.at(e.child(&w, j)).label})
 	}
 
 	// Structural replacement: X(v.1..v.(i-1), w.1..w.n, v.(i+1)..v.m).
-	n := len(v.children) - 1 + len(w.children)
-	nc := e.slab.alloc(n)
-	occ := e.slab.alloc(n)
-	k := copy(nc, v.children[:d.I-1])
-	k += copy(nc[k:], w.children)
-	copy(nc[k:], v.children[d.I:])
-	parent, idx := v.parent, v.idx
-	// v and w are fully detached (no occurrence references remain); let the
-	// arena recycle them. v/w must not be touched below this point.
-	e.arena.release(vid)
-	e.arena.release(wid)
-	xid := e.arena.alloc()
-	xn := e.arena.at(xid)
-	xn.label = x
-	xn.parent = parent
-	xn.idx = idx
-	xn.children = nc
-	xn.occ = occ
-	for i, c := range nc {
-		occ[i] = -1
-		cn := e.arena.at(c)
-		cn.parent = xid
-		cn.idx = int32(i)
+	n := int(v.n) - 1 + int(w.n)
+	var off int32
+	if n > 0 {
+		off = e.block(n)
 	}
-	if parent == nilNode {
+	nc := e.slab[off : int(off)+n]
+	k := copy(nc, e.slab[v.off:int(v.off)+i])
+	k += copy(nc[k:], e.slab[w.off:w.off+w.n])
+	copy(nc[k:], e.slab[int(v.off)+i+1:v.off+v.n])
+	// v and w are fully detached (no occurrence references remain); let the
+	// arena recycle them.
+	e.releaseNode(vid)
+	e.releaseNode(wid)
+	xid := e.alloc()
+	*e.at(xid) = tnode{label: x, parent: v.parent, idx: v.idx, n: int32(n), off: off}
+	for j, c := range nc {
+		e.slab[int(off)+n+j] = -1
+		cn := e.at(c)
+		cn.parent = xid
+		cn.idx = int32(j)
+	}
+	if v.parent == nilNode {
 		e.root = xid
 	} else {
-		e.arena.at(parent).children[idx] = xid
+		e.slab[e.at(v.parent).off+v.idx] = xid
 	}
 	e.nodeCount--
 
 	// Context additions: (p, X) and (X, c) digrams.
-	if parent != nilNode {
-		p := e.arena.at(parent)
-		e.tryAdd(parent, digram.Digram{A: p.label, I: int(idx) + 1, B: x})
+	if v.parent != nilNode {
+		p := e.at(v.parent)
+		e.tryAdd(v.parent, digram.Digram{A: p.label, I: int(v.idx) + 1, B: x})
 	}
-	for i, c := range nc {
-		e.tryAdd(xid, digram.Digram{A: x, I: i + 1, B: e.arena.at(c).label})
+	for j := 0; j < n; j++ {
+		e.tryAdd(xid, digram.Digram{A: x, I: j + 1, B: e.at(e.slab[int(off)+j]).label})
 	}
 }
 
@@ -419,41 +466,43 @@ func (e *engine) replaceOne(vid int32, d digram.Digram, x int32) {
 // recursively).
 func (e *engine) toGrammar() *grammar.Grammar {
 	g := grammar.New(e.st)
-	ntOf := make(map[int32]int32, len(e.rules))
-	for _, mr := range e.rules {
-		rhs := e.convertPattern(mr.d.PatternRHS(e.st), ntOf)
-		r := g.NewRule(mr.d.Rank(e.st), rhs)
-		ntOf[mr.term] = r.ID
+	if e.ntOf == nil {
+		e.ntOf = make(map[int32]int32, len(e.rules))
 	}
-	g.StartRule().RHS = e.convertTree(e.root, ntOf)
+	for _, mr := range e.rules {
+		rhs := e.convertPattern(mr.d.PatternRHS(e.st))
+		r := g.NewRule(mr.d.Rank(e.st), rhs)
+		e.ntOf[mr.term] = r.ID
+	}
+	g.StartRule().RHS = e.convertTree(e.root)
 	return g
 }
 
-func (e *engine) convertPattern(n *xmltree.Node, ntOf map[int32]int32) *xmltree.Node {
+func (e *engine) convertPattern(n *xmltree.Node) *xmltree.Node {
 	if n.Label.Kind == xmltree.Terminal {
-		if nt, ok := ntOf[n.Label.ID]; ok {
+		if nt, ok := e.ntOf[n.Label.ID]; ok {
 			n.Label = xmltree.Nonterm(nt)
 		}
 	}
 	for _, c := range n.Children {
-		e.convertPattern(c, ntOf)
+		e.convertPattern(c)
 	}
 	return n
 }
 
-func (e *engine) convertTree(vid int32, ntOf map[int32]int32) *xmltree.Node {
-	v := e.arena.at(vid)
+func (e *engine) convertTree(vid int32) *xmltree.Node {
+	v := e.at(vid)
 	var lbl xmltree.Symbol
-	if nt, ok := ntOf[v.label]; ok {
+	if nt, ok := e.ntOf[v.label]; ok {
 		lbl = xmltree.Nonterm(nt)
 	} else {
 		lbl = xmltree.Term(v.label)
 	}
 	n := xmltree.New(lbl)
-	if len(v.children) > 0 {
-		n.Children = make([]*xmltree.Node, len(v.children))
-		for i, c := range v.children {
-			n.Children[i] = e.convertTree(c, ntOf)
+	if v.n > 0 {
+		n.Children = make([]*xmltree.Node, v.n)
+		for i := range n.Children {
+			n.Children[i] = e.convertTree(e.child(v, i))
 		}
 	}
 	return n

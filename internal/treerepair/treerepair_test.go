@@ -221,19 +221,19 @@ func TestIntrusiveOccBookkeeping(t *testing.T) {
 			xmltree.New(xmltree.Term(b)),
 			xmltree.New(xmltree.Term(b)),
 			xmltree.New(xmltree.Term(b))))
-	e := newEngine(st.Clone(), tree, 4)
-	e.buildOccurrences()
+	e := new(engine)
+	e.init(st.Clone(), tree, 4)
 
 	d := digram.Digram{A: a, I: 1, B: b}
 	if got := e.queue.Count(d); got != 2 {
 		t.Fatalf("queue.Count(%v) = %v, want 2", d, got)
 	}
-	root := e.arena.at(e.root)
+	root := e.at(e.root)
 	if !e.stored(root, d) {
 		t.Fatal("root must be a stored parent of (a,1,b)")
 	}
-	inner := root.children[2]
-	if !e.stored(e.arena.at(inner), d) {
+	inner := e.child(root, 2)
+	if !e.stored(e.at(inner), d) {
 		t.Fatal("inner a must be a stored parent of (a,1,b)")
 	}
 	// Double-add must be a no-op.
@@ -248,7 +248,7 @@ func TestIntrusiveOccBookkeeping(t *testing.T) {
 	if e.stored(root, d) {
 		t.Fatal("root still stored after remove")
 	}
-	if e.queue.Count(d) != 1 || !e.stored(e.arena.at(inner), d) {
+	if e.queue.Count(d) != 1 || !e.stored(e.at(inner), d) {
 		t.Fatal("survivor lost after swap-delete")
 	}
 	e.removeOcc(e.root, d) // second remove is a no-op
