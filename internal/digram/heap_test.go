@@ -44,10 +44,14 @@ func (r refQueue) live() int {
 	return n
 }
 
-// checkHeap verifies the heap order and that every slot's recorded
-// position matches where its ID sits.
+// checkHeap verifies, right after a repair, that no slot is left dirty,
+// that every slot's held count is its live count, the heap order, and
+// that every slot's recorded position matches where its ID sits.
 func checkHeap(t *testing.T, q *Queue) {
 	t.Helper()
+	if len(q.dirty) != 0 {
+		t.Fatalf("%d slots still dirty after repair", len(q.dirty))
+	}
 	for i, id := range q.heap {
 		if got := q.slots[id].pos; int(got) != i {
 			t.Fatalf("slot %d records pos %d, sits at %d", id, got, i)
@@ -60,6 +64,12 @@ func checkHeap(t *testing.T, q *Queue) {
 		}
 	}
 	for id, s := range q.slots {
+		if s.dirty {
+			t.Fatalf("slot %d still marked dirty", id)
+		}
+		if s.held != s.count {
+			t.Fatalf("slot %d holds count %v, live count %v", id, s.held, s.count)
+		}
 		if s.pos < 0 && s.count > 0 {
 			t.Fatalf("slot %d has count %v but is not queued", id, s.count)
 		}
@@ -67,11 +77,15 @@ func checkHeap(t *testing.T, q *Queue) {
 }
 
 // TestQueueMatchesReference drives Queue and the brute-force model with
-// the same seeded random operations — absolute updates, usage-weighted
-// increases and decreases (with float residue), drops to 0, the
-// compressors' select-then-drop pattern followed by re-insertion, ties
-// on a small count range, and Reset reuse — and compares them after
-// every step.
+// the same seeded random operations — absolute updates (by digram and by
+// slot ID), usage-weighted increases and decreases (with float residue),
+// drops to 0, the compressors' select-then-drop pattern followed by
+// re-insertion, MaxCount saturation, ties on a small count range, Zero
+// and Reset reuse — and compares them at every repair. Most steps change
+// one count between two repairs; bursts change many (some cross 0 and
+// come back, some dirty every slot, which takes the heapify path), so
+// the heap is repaired after counts moved several times in either
+// direction since it last ordered them.
 func TestQueueMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -81,15 +95,17 @@ func TestQueueMatchesReference(t *testing.T) {
 		randDigram := func() Digram {
 			return Digram{A: 1 + rng.Int31n(4), I: 1 + rng.Intn(2), B: 1 + rng.Int31n(4)}
 		}
-		for step := 0; step < 3000; step++ {
+		change := func(step int, d Digram) {
 			switch op := rng.Intn(100); {
 			case op < 35:
-				d := randDigram()
 				c := float64(rng.Intn(7))
 				q.Update(d, c)
 				ref[d.Key()] = c
-			case op < 75:
-				d := randDigram()
+			case op < 45:
+				c := float64(rng.Intn(7))
+				q.SetSlot(q.Slot(d.Key()), c)
+				ref[d.Key()] = c
+			case op < 95:
 				// Tenths leave float residue on the way back to 0.
 				unit := []float64{0.5, 0.1}[rng.Intn(2)]
 				delta := float64(rng.Intn(9)-4) * unit
@@ -98,17 +114,55 @@ func TestQueueMatchesReference(t *testing.T) {
 				if q.Count(d) != ref[d.Key()] {
 					t.Fatalf("seed %d step %d: Count after Add = %v, want %v", seed, step, q.Count(d), ref[d.Key()])
 				}
-			case op < 95:
+			default:
+				q.Add(d, MaxCount)
+				ref.add(d.Key(), MaxCount)
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 70:
+				change(step, randDigram())
+			case op < 80:
+				// A burst of changes between two repairs.
+				for n := 1 + rng.Intn(40); n > 0; n-- {
+					change(step, randDigram())
+				}
+			case op < 83:
+				// Within one burst, a count drops to 0, rises from it and
+				// ends where it was (no move) or at 0 (a removal).
+				d := randDigram()
+				c := q.Count(d)
+				q.Update(d, 0)
+				q.Add(d, 3)
+				q.Add(d, -3)
+				q.Update(d, c)
+				if rng.Intn(2) == 0 {
+					q.Add(d, -c)
+					ref[d.Key()] = 0
+				}
+			case op < 86:
+				// A burst that dirties every slot of the universe: the
+				// repair heapifies.
+				for a := int32(1); a <= 4; a++ {
+					for i := 1; i <= 2; i++ {
+						for b := int32(1); b <= 4; b++ {
+							change(step, Digram{A: a, I: i, B: b})
+						}
+					}
+				}
+			case op < 97:
 				// Select the best and replace it: its count drops to 0,
 				// and it is re-inserted with a fresh count later on.
 				if d, _, ok := q.Best(); ok {
 					q.Update(d, 0)
 					ref[d.Key()] = 0
 				}
-			case op < 97:
-				d := randDigram()
-				q.Add(d, MaxCount)
-				ref.add(d.Key(), MaxCount)
+			case op < 98:
+				q.Zero()
+				for k := range ref {
+					ref[k] = 0
+				}
 			default:
 				q.Reset()
 				clear(ref)
@@ -130,8 +184,8 @@ func TestQueueMatchesReference(t *testing.T) {
 }
 
 // TestQueueOpsAllocFree guards the compressors' inner loop: once every
-// digram has a slot and the heap has its capacity, Update, Add and Best
-// allocate nothing.
+// digram has a slot and the heap and the dirty list have their capacity,
+// Update, SetSlot, Add and Best allocate nothing.
 func TestQueueOpsAllocFree(t *testing.T) {
 	var q Queue
 	ds := make([]Digram, 0, 512)
@@ -149,6 +203,7 @@ func TestQueueOpsAllocFree(t *testing.T) {
 			q.Update(d, 0)
 			q.Update(d, float64((i+round)%17))
 			q.Add(d, 1)
+			q.SetSlot(q.Slot(d.Key()), float64(i%5))
 			if _, _, ok := q.Best(); !ok {
 				t.Fatal("queue emptied")
 			}

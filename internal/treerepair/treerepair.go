@@ -4,11 +4,15 @@
 // (the Larsson–Moffat style bookkeeping the paper refers to), so the whole
 // compression runs in near-linear time.
 //
-// The mutable working tree lives in a chunked node arena addressed by
-// int32 indices, occurrence sets are flat-hashed on packed digram keys,
-// and each node carries its occurrence-list position intrusively (one slot
-// per child edge), so the inner loop performs no per-node heap allocation
-// and no pointer-keyed map probes.
+// The mutable working tree is pointer-free: nodes live in a flat arena
+// addressed by int32 indices, and every node's children and occurrence-list
+// positions (one per child edge, intrusively) are int32 blocks of one
+// slab, so the garbage collector never scans them. Each digram has one
+// dense slot in the digram queue, found by one hash of its packed key;
+// its occurrence list is indexed by that slot, so an occurrence add or
+// remove costs one hash, and the queue repairs its heap once per round
+// for each digram whose count changed. The engine is recycled from run
+// to run through a free list, so a warm run allocates its output only.
 //
 // The udc baseline (update–decompress–compress) and Fig. 6's
 // "decompress + compress" series are built on this package.
@@ -187,12 +191,10 @@ func (e *engine) init(st *xmltree.SymbolTable, root *xmltree.Node, maxRank int) 
 }
 
 // release empties the engine for the next run, keeping every capacity.
-// Nothing of the engine is part of an output.
+// Nothing of the engine is part of an output. The occurrence lists are
+// emptied by the next run's occurrence build.
 func (e *engine) release() {
 	e.queue.Reset()
-	for i := range e.occs {
-		e.occs[i] = e.occs[i][:0]
-	}
 	clear(e.ntOf)
 	*e = engine{
 		nodes: e.nodes[:0],
@@ -219,7 +221,7 @@ func (e *engine) alloc() int32 {
 	return int32(len(e.nodes) - 1)
 }
 
-// release recycles a node. The caller must have removed every occurrence
+// releaseNode recycles a node. The caller must have removed every occurrence
 // reference to it first; stale indices held elsewhere (e.g. a replacement
 // snapshot) are harmless because the recycled node's label can never match
 // the digram being replaced.
