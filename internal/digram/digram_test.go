@@ -88,15 +88,15 @@ func TestQueueBasic(t *testing.T) {
 	var q Queue
 	d1 := Digram{A: 1, I: 1, B: 2}
 	d2 := Digram{A: 2, I: 1, B: 3}
-	q.Update(d1, 5)
-	q.Update(d2, 9)
+	update(&q, d1, 5)
+	update(&q, d2, 9)
 	d, c, ok := q.Best()
 	if !ok || d != d2 || c != 9 {
 		t.Fatalf("best = %v/%v, want d2/9", d, c)
 	}
 	// d2's count changed after it was queued: its entry moves down.
-	q.Update(d2, 9) // same count: the entry stays put
-	q.Update(d2, 3)
+	update(&q, d2, 9) // same count: the entry stays put
+	update(&q, d2, 3)
 	d, c, ok = q.Best()
 	if !ok || d != d1 || c != 5 {
 		t.Fatalf("best = %v/%v, want d1/5", d, c)
@@ -106,7 +106,7 @@ func TestQueueBasic(t *testing.T) {
 func TestQueueCountBelowTwo(t *testing.T) {
 	var q Queue
 	d := Digram{A: 1, I: 1, B: 2}
-	q.Update(d, 1)
+	update(&q, d, 1)
 	if _, _, ok := q.Best(); ok {
 		t.Fatal("count 1 must never be selected")
 	}
@@ -116,8 +116,8 @@ func TestQueueDeterministicTieBreak(t *testing.T) {
 	var q Queue
 	d1 := Digram{A: 2, I: 1, B: 2}
 	d2 := Digram{A: 1, I: 1, B: 2}
-	q.Update(d1, 4)
-	q.Update(d2, 4)
+	update(&q, d1, 4)
+	update(&q, d2, 4)
 	d, _, ok := q.Best()
 	if !ok || d != d2 {
 		t.Fatalf("tie must break to lexicographically smaller digram, got %v", d)
@@ -126,7 +126,7 @@ func TestQueueDeterministicTieBreak(t *testing.T) {
 
 func TestQueueResetAndLen(t *testing.T) {
 	var q Queue
-	q.Update(Digram{A: 1, I: 1, B: 1}, 2)
+	update(&q, Digram{A: 1, I: 1, B: 1}, 2)
 	if q.Len() != 1 {
 		t.Fatal("len wrong")
 	}

@@ -49,14 +49,17 @@ type slot struct {
 	dirty bool    // listed in Queue.dirty
 }
 
-// Update sets the frequency of d. A count ≤ 0 removes d from the heap.
-func (q *Queue) Update(d Digram, count float64) {
-	q.set(q.slotOf(d.Key()), count)
-}
-
 // SetSlot sets the frequency of the digram with slot ID id (see Slot),
-// without hashing. A count ≤ 0 removes it from the heap.
-func (q *Queue) SetSlot(id int32, count float64) { q.set(id, count) }
+// without hashing. A count ≤ 0 removes it from the heap. The count is
+// stored at once; the next repair moves the digram's heap entry.
+func (q *Queue) SetSlot(id int32, count float64) {
+	s := &q.slots[id]
+	s.count = count
+	if !s.dirty {
+		s.dirty = true
+		q.dirty = append(q.dirty, id)
+	}
+}
 
 // Add changes the frequency of d by delta. The result saturates at
 // MaxCount, and a result ≤ 1e-9 (float residue of removed contributions)
@@ -70,7 +73,7 @@ func (q *Queue) Add(d Digram, delta float64) {
 	if c <= zeroCount {
 		c = 0
 	}
-	q.set(id, c)
+	q.SetSlot(id, c)
 }
 
 // Count returns the current frequency of d (0 if absent).
@@ -138,16 +141,6 @@ func (q *Queue) slotOf(k Key) int32 {
 		*p = int32(len(q.slots))
 	}
 	return *p - 1
-}
-
-// set stores a new count in slot id; the next repair moves its entry.
-func (q *Queue) set(id int32, c float64) {
-	s := &q.slots[id]
-	s.count = c
-	if !s.dirty {
-		s.dirty = true
-		q.dirty = append(q.dirty, id)
-	}
 }
 
 // repair restores the heap order over the live counts. Every slot not

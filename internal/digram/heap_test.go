@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// update sets the frequency of d.
+func update(q *Queue, d Digram, count float64) { q.SetSlot(q.Slot(d.Key()), count) }
+
 // refQueue is the brute-force model Queue is checked against: a plain map
 // of counts, searched in full for the best digram.
 type refQueue map[Key]float64
@@ -77,8 +80,7 @@ func checkHeap(t *testing.T, q *Queue) {
 }
 
 // TestQueueMatchesReference drives Queue and the brute-force model with
-// the same seeded random operations — absolute updates (by digram and by
-// slot ID), usage-weighted increases and decreases (with float residue),
+// the same seeded random operations — absolute updates, usage-weighted increases and decreases (with float residue),
 // drops to 0, the compressors' select-then-drop pattern followed by
 // re-insertion, MaxCount saturation, ties on a small count range, Zero
 // and Reset reuse — and compares them at every repair. Most steps change
@@ -97,13 +99,9 @@ func TestQueueMatchesReference(t *testing.T) {
 		}
 		change := func(step int, d Digram) {
 			switch op := rng.Intn(100); {
-			case op < 35:
-				c := float64(rng.Intn(7))
-				q.Update(d, c)
-				ref[d.Key()] = c
 			case op < 45:
 				c := float64(rng.Intn(7))
-				q.SetSlot(q.Slot(d.Key()), c)
+				update(&q, d, c)
 				ref[d.Key()] = c
 			case op < 95:
 				// Tenths leave float residue on the way back to 0.
@@ -133,10 +131,10 @@ func TestQueueMatchesReference(t *testing.T) {
 				// ends where it was (no move) or at 0 (a removal).
 				d := randDigram()
 				c := q.Count(d)
-				q.Update(d, 0)
+				update(&q, d, 0)
 				q.Add(d, 3)
 				q.Add(d, -3)
-				q.Update(d, c)
+				update(&q, d, c)
 				if rng.Intn(2) == 0 {
 					q.Add(d, -c)
 					ref[d.Key()] = 0
@@ -155,7 +153,7 @@ func TestQueueMatchesReference(t *testing.T) {
 				// Select the best and replace it: its count drops to 0,
 				// and it is re-inserted with a fresh count later on.
 				if d, _, ok := q.Best(); ok {
-					q.Update(d, 0)
+					update(&q, d, 0)
 					ref[d.Key()] = 0
 				}
 			case op < 98:
@@ -185,14 +183,14 @@ func TestQueueMatchesReference(t *testing.T) {
 
 // TestQueueOpsAllocFree guards the compressors' inner loop: once every
 // digram has a slot and the heap and the dirty list have their capacity,
-// Update, SetSlot, Add and Best allocate nothing.
+// SetSlot, Add and Best allocate nothing.
 func TestQueueOpsAllocFree(t *testing.T) {
 	var q Queue
 	ds := make([]Digram, 0, 512)
 	for a := int32(1); a <= 32; a++ {
 		for b := int32(1); b <= 16; b++ {
 			d := Digram{A: a, I: 1, B: b}
-			q.Update(d, float64(b))
+			update(&q, d, float64(b))
 			ds = append(ds, d)
 		}
 	}
@@ -200,10 +198,9 @@ func TestQueueOpsAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		round++
 		for i, d := range ds {
-			q.Update(d, 0)
-			q.Update(d, float64((i+round)%17))
+			update(&q, d, 0)
+			update(&q, d, float64((i+round)%17))
 			q.Add(d, 1)
-			q.SetSlot(q.Slot(d.Key()), float64(i%5))
 			if _, _, ok := q.Best(); !ok {
 				t.Fatal("queue emptied")
 			}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/datasets"
@@ -290,4 +291,35 @@ func FuzzTreeRePair(f *testing.F) {
 		g, _ = CompressTree(st, root, Options{MaxRank: maxRank})
 		expandAndCompare(t, g, root)
 	})
+}
+
+// TestConcurrentCompressTree runs CompressTree from 4 goroutines at once,
+// each on its own inputs, and requires every output to equal its
+// sequential run. Under -race it also checks that runs share no engine.
+func TestConcurrentCompressTree(t *testing.T) {
+	docs := reuseDocs(t)
+	want := make([][]byte, len(docs))
+	for i, doc := range docs {
+		g, _ := Compress(doc, Options{})
+		want[i] = encoded(t, g)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for i := w; i < len(docs); i += workers {
+					var buf bytes.Buffer
+					g, _ := Compress(docs[i], Options{})
+					if err := grammar.Encode(&buf, g); err != nil || !bytes.Equal(buf.Bytes(), want[i]) {
+						t.Errorf("worker %d: input %d differs from its sequential run (%v)", w, i, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
