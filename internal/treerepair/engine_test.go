@@ -146,11 +146,10 @@ func encoded(t testing.TB, g *grammar.Grammar) []byte {
 	return buf.Bytes()
 }
 
-// compressOn runs CompressTree on engine e and empties it after, as
-// CompressTree does with one from its free list.
+// compressOn runs CompressTree on engine e.
 func compressOn(e *engine, doc *xmltree.Document, opt Options) (*grammar.Grammar, *Stats) {
-	g, st := e.compress(doc.Syms, doc.Root, opt)
-	e.release()
+	g, st := e.run(doc.Syms, doc.Root, opt)
+	prune(g, st, doc.Syms.Len())
 	return g, st
 }
 
@@ -182,13 +181,13 @@ func TestEngineReuseMatchesFreshEngine(t *testing.T) {
 }
 
 // TestOutputSharesNoEngineState scribbles over the whole capacity of a
-// finished run's node arena and slab, empties the engine and runs other
-// inputs on it, and requires the first run's output to encode as before.
+// finished run's node arena and slab, runs other inputs on the engine,
+// and requires the first run's output to encode as before.
 func TestOutputSharesNoEngineState(t *testing.T) {
 	docs := reuseDocs(t)
 	e := new(engine)
 	for i, doc := range docs {
-		g, _ := e.compress(doc.Syms, doc.Root, Options{})
+		g, _ := compressOn(e, doc, Options{})
 		before := encoded(t, g)
 		nodes := e.nodes[:cap(e.nodes)]
 		for k := range nodes {
@@ -198,7 +197,6 @@ func TestOutputSharesNoEngineState(t *testing.T) {
 		for k := range slab {
 			slab[k] = -1 << 30
 		}
-		e.release()
 		compressOn(e, docs[(i+1)%len(docs)], Options{})
 		compressOn(e, doc, Options{})
 		if !bytes.Equal(encoded(t, g), before) {

@@ -64,13 +64,13 @@ func Compress(doc *xmltree.Document, opt Options) (*grammar.Grammar, *Stats) {
 // CompressTree is safe for concurrent use; it only reads its input. It
 // reuses its working tree from one run to the next: each run takes an
 // emptied engine (node arena, slab, digram queue, occurrence lists) from
-// a free list and hands it back once the output grammar has been built,
-// so a warm run allocates its output, not its working tree.
+// a free list and hands it back once the unpruned grammar has been built
+// from it, so a warm run allocates its output, not its working tree.
 func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
 	e := engines.Get()
-	g, stats := e.compress(st, root, opt)
-	e.release()
+	g, stats := e.run(st, root, opt)
 	engines.Put(e)
+	prune(g, stats, st.Len())
 	return g, stats
 }
 
@@ -79,8 +79,7 @@ func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*gr
 // it.
 func Unpruned(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) *grammar.Grammar {
 	e := engines.Get()
-	g := e.replaceDigrams(st, root, opt)
-	e.release()
+	g, _ := e.run(st, root, opt)
 	engines.Put(e)
 	return g
 }
@@ -88,25 +87,26 @@ func Unpruned(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) *grammar
 // engines holds the idle engines CompressTree reuses.
 var engines = freelist.List[engine]{New: func() *engine { return new(engine) }}
 
-// compress is CompressTree on this engine. The output shares nothing
-// with the engine.
-func (e *engine) compress(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
-	g := e.replaceDigrams(st, root, opt)
-	e.stats.PrunedRules = g.Prune()
-	// The generated terminals are nonterminals now; drop them from the
-	// table (the run worked on a clone of st).
-	g.Syms.Truncate(st.Len())
-	e.stats.FinalSize = g.Size()
-	return g, e.stats
-}
-
-// replaceDigrams runs the replacement rounds of CompressTree and returns
-// the unpruned grammar, with the engine holding the run's stats.
-func (e *engine) replaceDigrams(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) *grammar.Grammar {
+// run runs the replacement rounds of CompressTree on a clone of st and
+// returns the unpruned grammar and the run's stats, which share nothing
+// with the engine. It leaves the engine empty.
+func (e *engine) run(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
 	e.init(st.Clone(), root, opt.maxRank())
 	for e.round() {
 	}
-	return e.toGrammar()
+	g, stats := e.toGrammar(), e.stats
+	e.release()
+	return g, stats
+}
+
+// prune runs the pruning phase on the unpruned grammar g and completes
+// its stats. syms is the length of the input's symbol table.
+func prune(g *grammar.Grammar, stats *Stats, syms int) {
+	stats.PrunedRules = g.Prune()
+	// The generated terminals are nonterminals now; drop them from the
+	// table (the run worked on a clone of the input's).
+	g.Syms.Truncate(syms)
+	stats.FinalSize = g.Size()
 }
 
 // round replaces the most frequent digram, if one occurs at least twice,
