@@ -145,8 +145,8 @@ func TestOutputSharesNoScratch(t *testing.T) {
 // warmBytesBound and warmAllocsBound cap what a warm Compress of the XM
 // parity grammar may allocate: 20% of the 2.02 MB and 31% of the 19,118
 // allocations of a run that built its scratch from empty (a warm run
-// allocated 157 kB in 3,998 allocations, mostly its output and Prune's
-// call-site lists, on linux/amd64 with Go 1.24).
+// allocated 127 kB in 3,225 allocations, mostly its output, on
+// linux/amd64 with Go 1.24).
 const (
 	warmBytesBound  = 400_000
 	warmAllocsBound = 6_000
