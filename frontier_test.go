@@ -37,10 +37,10 @@ func TestFrontierDifferentialStreams(t *testing.T) {
 			var ci, cn update.Cache
 			cn.Naive = true
 			for i := range seq.Ops {
-				if _, err := update.ApplyCached(gi, seq.Ops[i], &ci); err != nil {
+				if err := update.ApplyCached(gi, seq.Ops[i], &ci); err != nil {
 					t.Fatalf("%s/%d indexed op %d: %v", short, seed, i, err)
 				}
-				if _, err := update.ApplyCached(gn, seq.Ops[i], &cn); err != nil {
+				if err := update.ApplyCached(gn, seq.Ops[i], &cn); err != nil {
 					t.Fatalf("%s/%d naive op %d: %v", short, seed, i, err)
 				}
 			}
@@ -78,7 +78,7 @@ func TestFrontierStreamMatchesTreeGroundTruth(t *testing.T) {
 	var cache update.Cache
 	ref := seq.Seed.Root.Copy()
 	for i := range seq.Ops {
-		if _, err := update.ApplyCached(g, seq.Ops[i], &cache); err != nil {
+		if err := update.ApplyCached(g, seq.Ops[i], &cache); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		ref, err = update.ApplyTree(seq.Seed.Syms, ref, seq.Ops[i])

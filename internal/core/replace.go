@@ -42,10 +42,15 @@ func (f *flagSet) appendKey(b []byte) []byte {
 
 // scratch owns the allocation state shared by every replacement round of
 // one compression run: the node arena the round's tree surgery allocates
-// from, the per-rule flag/splice maps (cleared, not reallocated, between
+// from, the per-rule flag/splice maps (emptied, not reallocated, between
 // rules), and pools for the maps and editors that the recursive version
 // construction needs one instance of per activation. release empties it
 // for the next run, keeping every capacity.
+//
+// The per-rule and per-round maps are emptied by deleting the keys that
+// were set, never by clear: a clear costs the map's capacity, which the
+// largest rule or round of the run has grown, and most rules set a
+// handful of keys.
 type scratch struct {
 	arena    *xmltree.Arena
 	flags    map[*xmltree.Node]*flagSet      // processRule flag accumulation
@@ -68,6 +73,7 @@ type scratch struct {
 	// is built in, and the flag sets the round hands out (the first
 	// nFlags of flagSets).
 	versions map[string]*xmltree.Node
+	vkeys    []string // the keys set in versions this round
 	keyBuf   []byte
 	flagSets []*flagSet
 	nFlags   int
@@ -130,6 +136,8 @@ func (sc *scratch) release() {
 	clear(sc.flags)
 	clear(sc.spliced)
 	clear(sc.versions)
+	clear(sc.vkeys)
+	sc.vkeys = sc.vkeys[:0]
 	clear(sc.order[:cap(sc.order)])
 	clear(sc.anchors[:cap(sc.anchors)])
 	clear(sc.residual[:cap(sc.residual)])
@@ -224,7 +232,10 @@ func newReplacer(g *grammar.Grammar, ix *occIndex, sc *scratch, d digram.Digram,
 	n := int(g.MaxRuleID())
 	sc.born = resetBools(sc.born, n)
 	sc.edited = resetBools(sc.edited, n)
-	clear(sc.versions)
+	for _, k := range sc.vkeys {
+		delete(sc.versions, k)
+	}
+	sc.vkeys = sc.vkeys[:0]
 	sc.nFlags = 0
 	ix.beginRound()
 	sc.rep = replacer{
@@ -311,7 +322,6 @@ func (r *replacer) processRule(rid int32) {
 	// nonterminal node — r on generator call nodes, y_i on call nodes that
 	// are parents of generators.
 	flags := r.sc.flags
-	clear(flags)
 	getFlags := func(n *xmltree.Node) *flagSet {
 		f := flags[n]
 		if f == nil {
@@ -334,7 +344,6 @@ func (r *replacer) processRule(rid int32) {
 	// pre-inline body, for determinism), recording what replaced each
 	// inlined call so generator positions can be re-anchored.
 	spliced := r.sc.spliced
-	clear(spliced)
 	if len(flags) > 0 {
 		order := r.sc.order[:0]
 		for n := range flags {
@@ -397,6 +406,12 @@ func (r *replacer) processRule(rid int32) {
 
 	r.replaced += ed.replaceOccurrences(anchors, r.d, r.x)
 	r.markEdited(rid)
+	// Every key of flags and spliced is on the order list.
+	for _, n := range r.sc.order {
+		delete(flags, n)
+		delete(spliced, n)
+	}
+	r.sc.order = r.sc.order[:0]
 }
 
 // inlineVersionAt inlines the processed version (optimized mode) or the
@@ -483,7 +498,9 @@ func (r *replacer) version(rid int32, fs *flagSet) *xmltree.Node {
 		body = r.exportFragments(body, marks)
 	}
 	r.sc.putEditor(ed)
-	r.versions[string(r.sc.versionKey(rid, fs))] = body
+	key := string(r.sc.versionKey(rid, fs))
+	r.versions[key] = body
+	r.sc.vkeys = append(r.sc.vkeys, key)
 	return body
 }
 

@@ -70,20 +70,11 @@ func (g *Grammar) Usage() ([]float64, error) {
 }
 
 // GarbageCollect deletes every rule unreachable from the start rule and
-// returns the number of rules removed. Updates that delete subtrees can
-// strand rules; experiments call this after each update batch.
+// returns the number of rules removed. Updates can strand rules (a
+// delete drops calls, an unfold inlines a rule's last call); the Store
+// and update.ApplyAll collect those from exact reference counts instead,
+// and this reachability walk over every rule is their reference.
 func (g *Grammar) GarbageCollect() int {
-	removed, _, _ := g.GarbageCollectSized()
-	return removed
-}
-
-// GarbageCollectSized is GarbageCollect plus the surviving grammar size
-// |G| (summed RHS edge count) and the start rule's share of it, both
-// measured during the reachability walk itself: the walk already visits
-// every node of every surviving rule, so callers that need the
-// post-collection sizes (the Store's batch policy) get them without a
-// second pass over any rule.
-func (g *Grammar) GarbageCollectSized() (removed, size, startEdges int) {
 	reach := make([]bool, g.nextNT)
 	var mark func(id int32)
 	mark = func(id int32) {
@@ -92,28 +83,23 @@ func (g *Grammar) GarbageCollectSized() (removed, size, startEdges int) {
 		}
 		reach[id] = true
 		if r := g.Rule(id); r != nil {
-			nodes := 0
 			r.RHS.Walk(func(v *xmltree.Node) bool {
-				nodes++
 				if v.Label.Kind == xmltree.Nonterminal {
 					mark(v.Label.ID)
 				}
 				return true
 			})
-			size += nodes - 1
-			if id == g.Start {
-				startEdges = nodes - 1
-			}
 		}
 	}
 	mark(g.Start)
+	removed := 0
 	for _, id := range g.RuleIDs() {
 		if !reach[id] {
 			g.DeleteRule(id)
 			removed++
 		}
 	}
-	return removed, size, startEdges
+	return removed
 }
 
 // SizeVectors holds, for one rule A of rank k, the paper's
@@ -189,22 +175,38 @@ func (t *SizeTable) Range(f func(id int32, sv *SizeVectors) bool) {
 	}
 }
 
-// ValSizes computes size vectors for every rule in one bottom-up pass
-// (anti-SL order), as required by path isolation (Section III-A). Counts
-// saturate at math.MaxInt64 to stay safe on exponentially compressing
-// grammars.
+// ValSizes computes size vectors for every rule in one bottom-up pass, as
+// required by path isolation (Section III-A). Each rule's body is walked
+// once: a call whose callee has no vector yet computes the callee's
+// first (depth-first, so callees always precede their callers, as in
+// AntiSLOrder). Counts saturate at math.MaxInt64 to stay safe on
+// exponentially compressing grammars.
 func (g *Grammar) ValSizes() (*SizeTable, error) {
-	anti, err := g.AntiSLOrder()
-	if err != nil {
-		return nil, err
-	}
 	sizes := NewSizeTable(g)
-	for _, id := range anti {
-		sv, err := g.RuleValSizes(id, sizes)
-		if err != nil {
-			return nil, err
+	busy := make([]bool, g.nextNT)
+	var fill func(id int32) error
+	fill = func(id int32) error {
+		if g.Rule(id) == nil {
+			return fmt.Errorf("%w: missing rule N%d", errValidate, id)
 		}
+		if busy[id] {
+			return fmt.Errorf("%w: recursion through N%d", errValidate, id)
+		}
+		busy[id] = true
+		sv, err := g.ruleValSizes(id, sizes, fill)
+		if err != nil {
+			return err
+		}
+		busy[id] = false
 		sizes.vec[id] = sv
+		return nil
+	}
+	for _, id := range g.order {
+		if sizes.vec[id] == nil {
+			if err := fill(id); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return sizes, nil
 }
@@ -215,6 +217,12 @@ func (g *Grammar) ValSizes() (*SizeTable, error) {
 // every other rule intact) can refresh a cached size-vector table in
 // O(|RHS|) instead of recomputing all rules.
 func (g *Grammar) RuleValSizes(id int32, sizes *SizeTable) (*SizeVectors, error) {
+	return g.ruleValSizes(id, sizes, nil)
+}
+
+// ruleValSizes is RuleValSizes; fill, when not nil, computes a callee's
+// vector the table does not hold yet.
+func (g *Grammar) ruleValSizes(id int32, sizes *SizeTable, fill func(int32) error) (*SizeVectors, error) {
 	r := g.Rule(id)
 	if r == nil {
 		return nil, fmt.Errorf("grammar: RuleValSizes: no rule N%d", id)
@@ -237,6 +245,12 @@ func (g *Grammar) RuleValSizes(id int32, sizes *SizeTable) (*SizeVectors, error)
 			return nil
 		case xmltree.Nonterminal:
 			callee := sizes.Get(n.Label.ID)
+			if callee == nil && fill != nil {
+				if err := fill(n.Label.ID); err != nil {
+					return err
+				}
+				callee = sizes.Get(n.Label.ID)
+			}
 			if callee == nil {
 				return fmt.Errorf("grammar: ValSizes: rule N%d not yet computed", n.Label.ID)
 			}

@@ -9,6 +9,7 @@ package grammar
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -175,12 +176,14 @@ func (g *Grammar) DeleteRule(id int32) {
 		return
 	}
 	g.rules[id] = nil
-	for i, rid := range g.order {
-		if rid == id {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
+	// Rules are created with ascending IDs, so order is sorted unless a
+	// decoded stream listed its rules out of order: search, and scan
+	// only when the search misses.
+	i, ok := slices.BinarySearch(g.order, id)
+	if !ok {
+		i = slices.Index(g.order, id)
 	}
+	g.order = slices.Delete(g.order, i, i+1)
 }
 
 // NumRules returns the number of live rules.

@@ -2,6 +2,7 @@ package grammar
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -340,6 +341,16 @@ func TestDeleteRule(t *testing.T) {
 	g.DeleteRule(r.ID) // idempotent
 	if g.NumRules() != before-1 {
 		t.Fatal("double delete changed count")
+	}
+
+	// A decoded stream may list rules out of ID order; the creation
+	// order must keep it, less the deleted rule.
+	a, b := g.NewRule(0, xmltree.NewBottom()), g.NewRule(0, xmltree.NewBottom())
+	slices.Reverse(g.order)
+	want := slices.DeleteFunc(slices.Clone(g.order), func(id int32) bool { return id == a.ID })
+	g.DeleteRule(a.ID)
+	if !slices.Equal(g.order, want) || g.Rule(b.ID) == nil {
+		t.Fatalf("order %v after deleting N%d, want %v", g.order, a.ID, want)
 	}
 }
 

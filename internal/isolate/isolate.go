@@ -71,6 +71,10 @@ type Memo struct {
 	extend    *spine          // spine the descent exhausted just before the run
 	extendAt  *xmltree.Node   // node where the naive continuation began
 
+	// unfolded lists the callee of every call the last descent inlined,
+	// in order, for the owner's reference counts (see Unfolded).
+	unfolded []int32
+
 	tick    int64 // descents started; the cold clock of chunk.touch
 	noIndex bool  // naive descent (differential tests / baselines)
 
@@ -85,6 +89,23 @@ type memoEntry struct {
 	val  int64
 	ck   *chunk
 	off  int32
+}
+
+// Unfolded returns the rule ID of every call the last IsolateMemo on
+// this memo unfolded, in order (valid until the next descent). Each
+// unfold replaced one call of that rule in the start rule by a copy of
+// its body, calls included.
+func (m *Memo) Unfolded() []int32 {
+	if m == nil {
+		return nil
+	}
+	return m.unfolded
+}
+
+func (m *Memo) noteUnfold(id int32) {
+	if m != nil {
+		m.unfolded = append(m.unfolded, id)
+	}
 }
 
 // NewMemo returns an empty memo.
@@ -250,6 +271,9 @@ func Isolate(g *grammar.Grammar, preorder int64, sizes *grammar.SizeTable) (Posi
 // ancestors of the target so the caller can commit the op's node delta
 // (Memo.CommitInsert / Memo.CommitDelete) after mutating.
 func IsolateMemo(g *grammar.Grammar, preorder int64, sizes *grammar.SizeTable, memo *Memo) (Position, error) {
+	if memo != nil {
+		memo.unfolded = memo.unfolded[:0]
+	}
 	if sizes == nil {
 		var err error
 		sizes, err = g.ValSizes()
@@ -445,6 +469,7 @@ func IsolateMemo(g *grammar.Grammar, preorder int64, sizes *grammar.SizeTable, m
 			// body takes the call's place on the chain, so a pending run
 			// (and a pending spine extension) continues through it.
 			was := node
+			memo.noteUnfold(was.Label.ID)
 			node = g.InlineAt(s, parent, idx)
 			if parent == nil {
 				// Root inline replaced the RHS.

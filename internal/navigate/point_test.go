@@ -30,7 +30,7 @@ func degradedCorpus(t testing.TB, short string) (*grammar.Grammar, *update.Cache
 	g, _ := treerepair.Compress(seq.Seed, treerepair.Options{})
 	cache := &update.Cache{}
 	for _, op := range seq.Ops {
-		if _, err := update.ApplyCached(g, op, cache); err != nil {
+		if err := update.ApplyCached(g, op, cache); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -97,7 +97,7 @@ func CreateDurable(id string, g *grammar.Grammar, cfg Config) (*Store, error) {
 // OpenDurable reopens a durable document after a crash or a clean
 // close: the newest valid snapshot loads (falling back past corrupt
 // ones), the WAL tail replays batch-by-batch through the normal apply
-// path — same per-batch garbage collection, same maintenance cadence
+// path — same per-batch rule collection, same maintenance cadence
 // as the original ApplyAll calls — and the Store resumes serving at
 // exactly the acked prefix of the update stream.
 func OpenDurable(id string, cfg Config) (*Store, error) {
@@ -192,8 +192,9 @@ func (s *Store) SyncWAL() error {
 
 // maybeSnapshotLocked rolls a snapshot once enough ops have been
 // logged past the last one. ApplyAll publishes the batch's generation
-// right before calling this (after garbage collection, so no stranded
-// rule is ever frozen into a snapshot), so instead of cloning the
+// right before calling this, after the batch collected every rule its
+// unfolds and deletes stranded (the reference counts see both, so no
+// stranded rule is frozen into a snapshot), so instead of cloning the
 // grammar we pin that generation shared and encode it off the lock —
 // snapshot publication costs the writer no copy at all, only a
 // possible copy-on-write at the NEXT batch's first op. The encode and

@@ -176,8 +176,9 @@ func (gn *generation) spineView() *isolate.SpineView {
 	return gn.view
 }
 
-// cachedSize returns |G| of this generation, computed once. The caller
-// must have acquired the generation.
+// cachedSize returns |G| of this generation: prefilled by the writer
+// from its exact count when the cache was warm, otherwise computed once.
+// The caller must have acquired the generation.
 func (gn *generation) cachedSize() int {
 	gn.cmu.Lock()
 	defer gn.cmu.Unlock()
@@ -219,11 +220,12 @@ func (s *Store) acquireGen() *generation {
 // fresh clone. The pinned generation keeps the original size-vector
 // table and the writer takes a snapshot copy (every vector is
 // identical on the clone, but the live table's start vector is mutated
-// in place per op, so the two sides must not share it). The isolation
-// memo is not carried over at all — its spine index holds node
-// pointers into the shared grammar, and a later Refold would splice
-// those foreign nodes into the private copy; Install abandons it to
-// the pinned generation via retireMemo.
+// in place per op, so the two sides must not share it). The reference
+// counts carry over as they are: the clone keeps every rule ID, and
+// readers never look at them. The isolation memo is not carried over at
+// all — its spine index holds node pointers into the shared grammar,
+// and a later Refold would splice those foreign nodes into the private
+// copy; update.Cache.MoveTo abandons it to the pinned generation.
 func (s *Store) ensurePrivateLocked() {
 	gn := s.pub.Load()
 	if gn == nil || gn.g != s.g {
@@ -239,16 +241,12 @@ func (s *Store) ensurePrivateLocked() {
 		return
 	}
 	s.g = s.g.Clone()
-	sizes := s.cache.Peek()
-	if sizes != nil {
-		sizes = sizes.Snapshot(s.g.Start)
-	}
-	s.cache.Install(sizes)
+	s.cache.MoveTo(s.g)
 }
 
 // publishLocked freezes the writer's working grammar and publishes it
-// as a fresh generation, prefilling the O(1) tree-size fast path from
-// the warm size-vector cache. The size table and isolation memo are
+// as a fresh generation, prefilling the O(1) tree-size and |G| fast
+// paths from the warm cache. The size table and isolation memo are
 // handed off by pointer — no copying on the write path; if a reader
 // pins the generation, the writer's next ensurePrivateLocked takes the
 // copy instead (see the generation field docs). Every mutation
@@ -267,6 +265,7 @@ func (s *Store) publishLocked() {
 		gn.sizes = sizes
 		gn.memo = s.cache.Memo()
 		gn.seed = !s.cache.Naive
+		gn.size, gn.sizeDone = s.cache.GrammarSize(g), true
 	}
 	s.pub.Store(gn)
 }

@@ -20,10 +20,16 @@
 //     entries are invalidated only by recompression, which replaces the
 //     grammar wholesale.
 //
-//   - Batched garbage collection. Deletes strand rules; stranded rules
-//     are unreachable from the start symbol and therefore invisible to
-//     isolation and queries, so ApplyAll runs one GarbageCollect per
-//     batch instead of one per delete.
+//   - Reference-counted rule collection. The cache also counts, per
+//     rule, the call nodes naming it, and keeps |G| exact. An unfold
+//     that inlines a rule's last call strands the rule, whatever the op;
+//     so does a delete that drops it. Each op adjusts the counts by what
+//     it edited, and the batch ends by deleting the rules whose count
+//     fell to 0, cascading into the rules only they called. Stranded
+//     rules are unreachable from the start symbol and therefore
+//     invisible to isolation and queries until then. No batch walks the
+//     grammar or the start rule: the collection costs the collected
+//     rules, and the recompression policy reads the exact |G|.
 //
 //   - Self-tuning recompression. Updates degrade the grammar; the Store
 //     triggers GrammarRePair when |G| grows past Ratio × |G| at the last
@@ -40,13 +46,12 @@
 // under the lock (the only stall writers ever see, Stats.StallNanos),
 // stamps the clone with the grammar's update epoch, and compresses the
 // clone in a background goroutine, which also pre-computes the new
-// grammar's size vectors. On completion the swap protocol runs under the
-// write lock:
+// grammar's size vectors and reference counts. On completion the swap
+// protocol runs under the write lock:
 //
 //   - epoch unchanged → the snapshot still derives the live document;
-//     the compressed grammar and its pre-warmed size-vector cache are
-//     swapped in (update.Cache.Install — no O(|G|) warm-up under the
-//     lock).
+//     the compressed grammar and its pre-warmed cache are swapped in
+//     (update.Cache.Install — no O(|G|) warm-up under the lock).
 //   - epoch advanced by at most MaxTail ops → the ops that raced the
 //     compression (the tail, recorded while a run is in flight) are
 //     replayed onto the compressed copy, then it is swapped in. A write
@@ -242,8 +247,8 @@ type Counters struct {
 	SizeCacheMisses  int64 // full ValSizes recomputations
 	UsageCacheHits   int64 // label queries served from the warm usage cache
 	UsageCacheMisses int64 // usage-vector recomputations
-	GCRuns           int64 // garbage-collection passes
-	RulesCollected   int64 // rules removed by those passes
+	GCRuns           int64 // batch-end collections that found a stranded rule
+	RulesCollected   int64 // rules removed by those collections
 
 	// Isolation-frontier counters (internal/isolate's spine index).
 	// IsolationSteps is the naive descent work the cost trigger watches;
@@ -367,13 +372,6 @@ type Store struct {
 
 	lastCompressed int
 	peakSize       int
-	// sizeRest is |G| minus the start rule's RHS edges. Between the
-	// events that mint or delete rules (GC, re-folding, recompression —
-	// each refreshes it) updates mutate only the start rule, so the
-	// batch policy reads |G| as sizeRest plus a walk of the start RHS
-	// alone instead of a full O(|G|) pass per batch.
-	sizeRest  int
-	pendingGC bool
 
 	// Asynchronous recompression state (all guarded by mu). gen counts
 	// grammar swaps (sync and async): a completion whose recorded gen no
@@ -463,22 +461,21 @@ func New(g *grammar.Grammar, cfg ...Config) *Store {
 	if c.MinSize == 0 {
 		c.MinSize = DefaultMinSize
 	}
-	size := g.Size()
 	s := &Store{
-		g:              g,
-		cfg:            c,
-		effRatio:       c.Ratio,
-		lastCompressed: size,
-		peakSize:       size,
-		compress:       core.Compress,
+		g:        g,
+		cfg:      c,
+		effRatio: c.Ratio,
+		compress: core.Compress,
 	}
 	s.runsDone = sync.NewCond(&s.mu)
-	s.sizeRest = size - s.startEdgesLocked()
-	// Warm the size-vector cache while no reader can hold the lock yet,
-	// so TreeSize/Elements/Stats are O(1) from the first call. On error
-	// (invalid grammar) the cache stays cold and the first Apply
-	// surfaces the problem.
+	// Warm the size-vector cache and reference counts while no reader
+	// can hold the lock yet, so TreeSize/Elements/Size/Stats are O(1)
+	// from the first call. On error (invalid grammar) the cache stays
+	// cold and the first Apply surfaces the problem.
 	s.cache.Sizes(g)
+	size := s.cache.GrammarSize(g)
+	s.lastCompressed = size
+	s.peakSize = size
 	// Publish generation zero so readers never observe a nil pointer.
 	// New's ownership contract becomes load-bearing here: the caller's g
 	// is frozen from this point on.
@@ -492,7 +489,7 @@ func (s *Store) Apply(op update.Op) error {
 }
 
 // ApplyAll performs a batch of operations: one shared size-vector cache
-// across the batch, one garbage collection at the end, one
+// across the batch, one collection of the rules it stranded at the end, one
 // recompression-policy check at the batch boundary. On a durable Store
 // the committed prefix is appended to the write-ahead log — and, per
 // the fsync policy, on disk — before the call returns: a batch that
@@ -583,8 +580,7 @@ func (s *Store) LastSeq() uint64 {
 
 func (s *Store) applyLocked(op update.Op) error {
 	s.ensurePrivateLocked()
-	stranded, err := update.ApplyCached(s.g, op, &s.cache)
-	if err != nil {
+	if err := update.ApplyCached(s.g, op, &s.cache); err != nil {
 		return err
 	}
 	if s.inflight {
@@ -597,7 +593,6 @@ func (s *Store) applyLocked(op update.Op) error {
 			s.tailOverflow = true
 		}
 	}
-	s.pendingGC = s.pendingGC || stranded
 	s.ctr.Ops++
 	switch op.Kind {
 	case update.Rename:
@@ -610,15 +605,14 @@ func (s *Store) applyLocked(op update.Op) error {
 	return nil
 }
 
-// finishBatchLocked runs the deferred garbage collection and the
-// recompression/re-fold policy at a batch boundary. (Usage staleness
+// finishBatchLocked collects the rules the batch stranded and runs the
+// recompression/re-fold policy at a batch boundary. |G| is read from the
+// cache's exact count: nothing here walks a rule. (Usage staleness
 // needs no handling here: usage vectors are cached per generation, and
 // the batch publishes a fresh generation right after this returns.)
 func (s *Store) finishBatchLocked() {
-	size := s.gcLocked()
-	if size < 0 {
-		size = s.sizeRest + s.startEdgesLocked()
-	}
+	s.gcLocked()
+	size := s.cache.GrammarSize(s.g)
 	if size > s.peakSize {
 		s.peakSize = size
 	}
@@ -711,8 +705,6 @@ func (s *Store) refoldLocked() {
 		s.ctr.Refolds++
 		s.ctr.RefoldRules += int64(folds)
 		s.ctr.RefoldedNodes += int64(entries)
-		// Folding minted rules, so the incremental |G| split moved.
-		s.sizeRest = s.g.Size() - s.startEdgesLocked()
 	}
 }
 
@@ -749,13 +741,13 @@ func (s *Store) foldFirstLocked() {
 		s.ctr.Refolds++
 		s.ctr.RefoldRules += int64(folds)
 		s.ctr.RefoldedNodes += int64(entries)
-		s.sizeRest = s.g.Size() - s.startEdgesLocked()
 	}
 }
 
 // startAsyncRecompressLocked launches one background GrammarRePair run:
 // clone the grammar under the lock (the only writer-visible stall), then
-// compress the clone and pre-compute its size vectors off the lock. At
+// compress the clone and pre-compute its size vectors and reference
+// counts off the lock. At
 // most one run is in flight per Store; while the policy keeps firing the
 // grammar just keeps growing until the swap lands.
 func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
@@ -789,15 +781,20 @@ func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
 		}
 		g2, st := s.compress(snap, core.Options{})
 		sizes, szErr := g2.ValSizes()
-		s.completeAsync(gen, epoch, g2, st, sizes, szErr)
+		var refs *update.Refs
+		if szErr == nil {
+			refs = update.CountRefs(g2)
+		}
+		s.completeAsync(gen, epoch, g2, st, sizes, refs, szErr)
 	}()
 	return true
 }
 
 // completeAsync is the swap protocol: called from the background
-// goroutine with the compressed grammar, its pre-warmed size vectors,
-// and the gen/epoch stamps recorded at snapshot time.
-func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.Stats, sizes *grammar.SizeTable, szErr error) {
+// goroutine with the compressed grammar, its pre-warmed size vectors
+// and reference counts, and the gen/epoch stamps recorded at snapshot
+// time.
+func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.Stats, sizes *grammar.SizeTable, refs *update.Refs, szErr error) {
 	s.mu.Lock()
 	// Writers are only stalled while the lock is actually held — waiting
 	// for it above is the completion goroutine's problem, not theirs —
@@ -821,23 +818,21 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 		discard()
 		return
 	}
-	stranded := false
 	switch {
 	case s.g.Epoch() == epoch:
 		// No write raced the run; the snapshot still derives the live
-		// document. Hand the pre-warmed vectors to the cache — no O(|G|)
-		// pass under the lock.
-		s.cache.Install(sizes)
+		// document. Hand the pre-warmed vectors and counts to the cache —
+		// no O(|G|) pass under the lock.
+		s.cache.Install(sizes, refs)
 	case len(tail) > 0 && s.g.Epoch() == epoch+uint64(len(tail)):
 		// Writes raced the run but every one of them is in the tail:
 		// replay them onto the compressed copy. g2 derives exactly the
 		// snapshot document, so the ops' preorder positions are valid in
 		// order, and each replayed op bumps g2's epoch — after the loop
 		// the epochs line up again and no update is lost.
-		s.cache.Install(sizes)
+		s.cache.Install(sizes, refs)
 		for _, op := range tail {
-			str, err := update.ApplyCached(g2, op, &s.cache)
-			if err != nil {
+			if err := update.ApplyCached(g2, op, &s.cache); err != nil {
 				// Should be impossible (same document); put the cache back
 				// in service of the live grammar and drop the run.
 				s.cache.Invalidate()
@@ -845,7 +840,6 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 				discard()
 				return
 			}
-			stranded = stranded || str
 		}
 		s.ctr.ReplayedTailOps += int64(len(tail))
 	default:
@@ -856,7 +850,9 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 	}
 	s.g = g2
 	s.gen++
-	s.pendingGC = stranded
+	// The replayed tail may have stranded rules; g2 is not published
+	// yet, so the collection needs no copy.
+	s.gcLocked()
 	// Install retired the spine index with the pre-swap grammar (and a
 	// tail replay only re-registers runs it happened to walk); the
 	// generation published below seeds a compact view from the
@@ -873,8 +869,7 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 	// The policy baseline is what actually went live — including any
 	// growth the tail replay just added — or sustained racing writes
 	// would make every subsequent trigger fire earlier than Ratio says.
-	s.lastCompressed = g2.Size()
-	s.sizeRest = s.lastCompressed - s.startEdgesLocked()
+	s.lastCompressed = s.cache.GrammarSize(g2)
 	if st.MaxIntermediate > s.peakSize {
 		s.peakSize = st.MaxIntermediate
 	}
@@ -895,30 +890,16 @@ func (s *Store) tunePolicy(before, after int) {
 	}
 }
 
-// gcLocked runs the deferred garbage collection; it returns the
-// post-collection |G| measured by the collector's reachability walk, or
-// -1 when no collection was pending (the caller falls back to the
-// incremental size).
-func (s *Store) gcLocked() int {
-	if !s.pendingGC {
-		return -1
+// gcLocked deletes the rules whose reference count fell to 0 since the
+// last collection, with the rules only they called. It costs the
+// collected rules' call lists, and nothing when no op stranded a rule.
+func (s *Store) gcLocked() {
+	if !s.cache.Stranded() {
+		return
 	}
-	s.pendingGC = false
 	s.ensurePrivateLocked()
-	removed, size, startEdges := s.g.GarbageCollectSized()
 	s.ctr.GCRuns++
-	s.ctr.RulesCollected += int64(removed)
-	if removed > 0 {
-		s.cache.DropDeleted(s.g)
-	}
-	s.sizeRest = size - startEdges
-	return size
-}
-
-// startEdgesLocked returns the start rule's RHS edge count — the only
-// per-batch size walk the incremental |G| accounting needs.
-func (s *Store) startEdgesLocked() int {
-	return s.g.Rule(s.g.Start).RHS.Edges()
+	s.ctr.RulesCollected += int64(s.cache.Collect(s.g))
 }
 
 // recompressLocked runs GrammarRePair synchronously under the write
@@ -932,7 +913,7 @@ func (s *Store) recompressLocked(foldFirst bool) *core.Stats {
 	if foldFirst {
 		s.foldFirstLocked()
 	}
-	before := s.g.Size()
+	before := s.cache.GrammarSize(s.g)
 	g2, st := s.compress(s.g, core.Options{})
 	s.g = g2
 	s.gen++
@@ -952,12 +933,11 @@ func (s *Store) recompressLocked(foldFirst bool) *core.Stats {
 	s.publishLocked()
 	s.resetCostBaselineLocked()
 	s.ctr.Recompressions++
-	s.lastCompressed = g2.Size()
-	s.sizeRest = s.lastCompressed - s.startEdgesLocked()
+	s.lastCompressed = s.cache.GrammarSize(g2)
 	if st.MaxIntermediate > s.peakSize {
 		s.peakSize = st.MaxIntermediate
 	}
-	s.tunePolicy(before, g2.Size())
+	s.tunePolicy(before, s.lastCompressed)
 	s.ctr.StallNanos += time.Since(start).Nanoseconds()
 	return st
 }
@@ -1179,7 +1159,7 @@ func (s *Store) Stats() Stats {
 		Counters:              s.ctr,
 		LastSeq:               s.lastSeq,
 		RecompressionInflight: s.inflight,
-		Size:                  s.sizeRest + s.startEdgesLocked(),
+		Size:                  s.cache.GrammarSize(s.g),
 		PeakSize:              s.peakSize,
 		LastCompressedSize:    s.lastCompressed,
 		EffectiveRatio:        s.effRatio,

@@ -36,13 +36,10 @@ func TestCachedMatchesPerOp(t *testing.T) {
 		}
 
 		var c Cache
-		stranded := false
 		for i, op := range ops {
-			s, err := ApplyCached(gCached, op, &c)
-			if err != nil {
+			if err := ApplyCached(gCached, op, &c); err != nil {
 				t.Fatalf("trial %d cached op %d: %v", trial, i, err)
 			}
-			stranded = stranded || s
 			if err := Apply(gPerOp, op); err != nil {
 				t.Fatalf("trial %d per-op %d: %v", trial, i, err)
 			}
@@ -56,9 +53,7 @@ func TestCachedMatchesPerOp(t *testing.T) {
 				}
 			}
 		}
-		if stranded {
-			gCached.GarbageCollect()
-		}
+		c.Collect(gCached)
 		if c.Misses != 1 || c.Hits != int64(len(ops))-1 {
 			t.Fatalf("trial %d: cache hits=%d misses=%d, want %d/1", trial, c.Hits, c.Misses, len(ops)-1)
 		}
@@ -103,7 +98,7 @@ func TestCacheRefreshStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ApplyCached(g, op, &c); err != nil {
+		if err := ApplyCached(g, op, &c); err != nil {
 			t.Fatal(err)
 		}
 		fresh, err := g.ValSizes()

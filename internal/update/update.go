@@ -51,13 +51,18 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Cache holds the grammar's size vectors across a sequence of operations.
-// Path isolation mutates only the start rule, so every non-start vector
-// stays valid from op to op (internal/isolate/isolate.go); only the start
-// rule's vector is refreshed after a mutation, in O(|RHS_S|) instead of
-// the O(|G|) full ValSizes pass the per-op path pays. The cache must be
-// invalidated whenever any non-start rule changes — in practice, after
-// recompression (which builds a new grammar anyway).
+// Cache holds the grammar's size vectors and reference counts across a
+// sequence of operations. Path isolation mutates only the start rule, so
+// every non-start vector stays valid from op to op
+// (internal/isolate/isolate.go); only the start rule's vector is
+// refreshed after a mutation, by the op's known node delta instead of
+// the O(|G|) full ValSizes pass the per-op path pays. The counts (Refs)
+// follow the same ops: each call an isolation unfolds, each call a
+// delete drops, and every edge the start rule gains or loses, so |G| is
+// exact without a walk and Collect deletes the rules an op stranded
+// without a reachability sweep. The cache must be invalidated whenever
+// any non-start rule changes other than through Refold — in practice,
+// after recompression (which builds a new grammar anyway).
 //
 // The memo the cache owns is more than the subtree-size store: it also
 // carries the persistent isolation frontier (internal/isolate's spine
@@ -70,6 +75,7 @@ func (k Kind) String() string {
 // Sizes calls and feed Store.Stats.
 type Cache struct {
 	sizes *grammar.SizeTable
+	refs  *Refs
 	memo  *isolate.Memo // subtree sizes + spine index across ops
 
 	// Naive disables the spine index on memos this cache creates, so
@@ -103,7 +109,8 @@ func (c *Cache) retireMemo() {
 	c.memo = nil
 }
 
-// Sizes returns the cached size-vector table, computing it on first use.
+// Sizes returns the cached size-vector table, computing it (and the
+// reference counts) on first use.
 func (c *Cache) Sizes(g *grammar.Grammar) (*grammar.SizeTable, error) {
 	if c.sizes != nil {
 		c.Hits++
@@ -115,6 +122,7 @@ func (c *Cache) Sizes(g *grammar.Grammar) (*grammar.SizeTable, error) {
 		return nil, err
 	}
 	c.sizes = sizes
+	c.refs = CountRefs(g)
 	return sizes, nil
 }
 
@@ -123,28 +131,53 @@ func (c *Cache) Sizes(g *grammar.Grammar) (*grammar.SizeTable, error) {
 // callers that hold only a read lock over the owning structure.
 func (c *Cache) Peek() *grammar.SizeTable { return c.sizes }
 
-// Invalidate drops the cached vectors and the memo (subtree sizes and
-// spine index); the next Sizes call recomputes.
+// GrammarSize returns |G| of the grammar the cache serves: exact from
+// the counts when warm, one Size walk when cold.
+func (c *Cache) GrammarSize(g *grammar.Grammar) int {
+	if c.refs == nil {
+		return g.Size()
+	}
+	return c.refs.start + c.refs.rest
+}
+
+// Invalidate drops the cached vectors, counts and memo (subtree sizes
+// and spine index); the next Sizes call recomputes.
 func (c *Cache) Invalidate() {
 	c.sizes = nil
+	c.refs = nil
 	c.retireMemo()
 }
 
-// Install hands the cache a precomputed size-vector table for the
-// grammar it is about to serve, dropping any previous state. This is the
-// cache hand-off of the store's asynchronous recompression swap: the
-// background goroutine computes the new grammar's ValSizes off the write
-// lock and the swap installs the result here, so readers and writers
-// never pay an O(|G|) warm-up pass under the lock. Counted as neither
-// hit nor miss — the work happened, just elsewhere.
-func (c *Cache) Install(sizes *grammar.SizeTable) {
+// Install hands the cache a precomputed size-vector table and reference
+// counts for the grammar it is about to serve, dropping any previous
+// state. This is the cache hand-off of the store's asynchronous
+// recompression swap: the background goroutine computes the new
+// grammar's ValSizes and CountRefs off the write lock and the swap
+// installs the result here, so readers and writers never pay an O(|G|)
+// warm-up pass under the lock. Counted as neither hit nor miss — the
+// work happened, just elsewhere.
+func (c *Cache) Install(sizes *grammar.SizeTable, refs *Refs) {
 	c.sizes = sizes
+	c.refs = refs
+	c.retireMemo()
+}
+
+// MoveTo hands the cache to a clone of the grammar it served, which
+// keeps every rule ID: the counts carry over as they are, the size
+// table is copied (its start vector is mutated in place per op, and the
+// original stays with whoever holds the old grammar), and the memo is
+// retired — its spine index holds node pointers into the old grammar,
+// and a later Refold would splice those foreign nodes into the clone.
+func (c *Cache) MoveTo(clone *grammar.Grammar) {
+	if c.sizes != nil {
+		c.sizes = c.sizes.Snapshot(clone.Start)
+	}
 	c.retireMemo()
 }
 
 // RefreshStart recomputes only the start rule's vector from the cached
 // callee vectors. Call it after an operation changed val_G(S)'s node
-// count (insert/delete); renames and isolation unfolding preserve sizes.
+// count by an amount that cannot be applied arithmetically.
 func (c *Cache) RefreshStart(g *grammar.Grammar) error {
 	if c.sizes == nil {
 		return nil
@@ -181,32 +214,32 @@ func (c *Cache) adjustStartTotal(g *grammar.Grammar, delta int64) error {
 	return nil
 }
 
-// DropDeleted removes cache entries whose rule no longer exists (after a
-// garbage-collection pass), so a long-lived cache does not accumulate
-// vectors for dead rule IDs.
-func (c *Cache) DropDeleted(g *grammar.Grammar) {
-	if c.sizes == nil {
-		return
+// Collect deletes the rules the ops since the last Collect stranded —
+// every rule whose reference count fell to 0, and the rules only those
+// called — and drops their size vectors; it returns the number of rules
+// removed. The work is the collected rules' call lists: no live rule is
+// visited. Stranded rules are unreachable from the start rule, so they
+// are invisible to isolation and queries until then; callers run one
+// Collect per batch.
+func (c *Cache) Collect(g *grammar.Grammar) int {
+	if c.refs == nil {
+		return 0
 	}
-	c.sizes.Range(func(id int32, _ *grammar.SizeVectors) bool {
-		if g.Rule(id) == nil {
-			c.sizes.Drop(id)
-		}
-		return true
-	})
+	return c.refs.collect(g, c.sizes)
 }
 
-// ApplyCached performs one operation using the shared size-vector cache
-// and refreshes the cache afterwards. Unlike Apply it never garbage
-// collects: deletes can strand rules, and the caller decides when to run
-// one GarbageCollect for a whole batch (stranded rules are unreachable
-// from the start rule, so they are invisible to isolation and queries in
-// the meantime). The returned stranded flag reports whether such a pass
-// is due.
-func ApplyCached(g *grammar.Grammar, op Op, c *Cache) (stranded bool, err error) {
+// Stranded reports whether an op stranded rules that Collect has not
+// deleted yet.
+func (c *Cache) Stranded() bool { return c.refs != nil && len(c.refs.zero) > 0 }
+
+// ApplyCached performs one operation using the shared cache and keeps
+// the cache exact afterwards. It never deletes a rule: unfolds and
+// deletes can strand rules, and the caller runs one Collect for a whole
+// batch.
+func ApplyCached(g *grammar.Grammar, op Op, c *Cache) error {
 	sizes, err := c.Sizes(g)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if c.memo == nil {
 		c.memo = isolate.NewMemo()
@@ -215,13 +248,18 @@ func ApplyCached(g *grammar.Grammar, op Op, c *Cache) (stranded bool, err error)
 		}
 	}
 	pos, err := isolate.IsolateMemo(g, op.Pos, sizes, c.memo)
+	// Every call the descent unfolded is inlined even when it then
+	// failed: account for them before anything else.
+	for _, id := range c.memo.Unfolded() {
+		c.refs.unfold(id, g.Rule(id).Rank)
+	}
 	if err != nil {
-		return false, err
+		return err
 	}
 	switch op.Kind {
 	case Rename:
 		if pos.Node.Label.IsBottom() {
-			return false, fmt.Errorf("update: rename of ⊥ node at %d", op.Pos)
+			return fmt.Errorf("update: rename of ⊥ node at %d", op.Pos)
 		}
 		id := g.Syms.InternElement(op.Label)
 		pos.Node.Label = xmltree.Term(id)
@@ -229,39 +267,42 @@ func ApplyCached(g *grammar.Grammar, op Op, c *Cache) (stranded bool, err error)
 		// Renames (and the isolation unfolding itself) do not change any
 		// val size, so the cached start vector — and every spine weight —
 		// stays valid.
-		return false, nil
+		return nil
 	case Insert:
 		if op.Frag == nil {
-			return false, fmt.Errorf("update: insert without fragment")
+			return fmt.Errorf("update: insert without fragment")
 		}
 		// insert(t,u,s): the fragment's right-most ⊥ becomes the subtree
 		// currently rooted at u (for u = ⊥ this degenerates to t[u/s]).
 		// A fragment of k elements becomes a binary tree of 2k+1 nodes
 		// whose right-most ⊥ is replaced by the existing subtree: exactly
-		// 2k nodes join val_G(S) — which is also the fresh chain head's
-		// spine weight (itself plus its first-child subtree).
+		// 2k nodes (and 2k edges of the start rule) join val_G(S) — which
+		// is also the fresh chain head's spine weight (itself plus its
+		// first-child subtree).
 		fragNodes := int64(op.Frag.Nodes())
 		sub := op.Frag.BinaryInto(g.Syms, pos.Node)
 		pos.Replace(g, sub)
 		g.BumpEpoch()
+		c.refs.start += int(2 * fragNodes)
 		c.memo.CommitInsert(pos, sub, 2*fragNodes)
-		return false, c.adjustStartTotal(g, 2*fragNodes)
+		return c.adjustStartTotal(g, 2*fragNodes)
 	case Delete:
 		if pos.Node.Label.IsBottom() {
-			return false, fmt.Errorf("update: delete of ⊥ node at %d", op.Pos)
+			return fmt.Errorf("update: delete of ⊥ node at %d", op.Pos)
 		}
 		// t[u / u.2]: drop the element and its first-child subtree, keep
-		// the next-sibling chain — exactly 1 + |val(u.1)| nodes leave.
-		removed := grammar.SatAdd(1, grammar.SubtreeValSize(pos.Node.Children[0], sizes))
+		// the next-sibling chain — exactly 1 + |val(u.1)| nodes leave, and
+		// the calls in the dropped subtree with them.
+		removed := grammar.SatAdd(1, c.refs.detach(pos.Node.Children[0], sizes))
 		c.memo.CommitDelete(pos, removed)
 		pos.Replace(g, pos.Node.Children[1])
 		g.BumpEpoch()
 		if grammar.Saturated(removed) {
-			return true, c.RefreshStart(g)
+			return c.RefreshStart(g)
 		}
-		return true, c.adjustStartTotal(g, -removed)
+		return c.adjustStartTotal(g, -removed)
 	}
-	return false, fmt.Errorf("update: unknown op kind %v", op.Kind)
+	return fmt.Errorf("update: unknown op kind %v", op.Kind)
 }
 
 // Refold runs one bounded incremental re-folding pass (see
@@ -269,14 +310,20 @@ func ApplyCached(g *grammar.Grammar, op Op, c *Cache) (stranded bool, err error)
 // operations are folded back into fresh rank-1 rules, shrinking the
 // explicit start RHS without a recompression. The cache stays warm —
 // the new rules' size vectors are known exactly from the folded
-// weights — and the derived document is untouched, so no epoch bump.
-// Returns the number of rules minted (one per contiguous cold run) and
-// the spine entries those folds absorbed.
+// weights, and their counts from one walk of each folded body — and the
+// derived document is untouched, so no epoch bump. Returns the number
+// of rules minted (one per contiguous cold run) and the spine entries
+// those folds absorbed.
 func (c *Cache) Refold(g *grammar.Grammar, coldOps int64, maxChunks int) (folds, entries int) {
 	if c.memo == nil || c.sizes == nil {
 		return 0, 0
 	}
-	return c.memo.Refold(g, c.sizes, isolate.RefoldOptions{MinAge: coldOps, MaxChunks: maxChunks})
+	first := g.MaxRuleID()
+	folds, entries = c.memo.Refold(g, c.sizes, isolate.RefoldOptions{MinAge: coldOps, MaxChunks: maxChunks})
+	for id := first; id < g.MaxRuleID(); id++ {
+		c.refs.fold(g, g.Rule(id))
+	}
+	return folds, entries
 }
 
 // Memo exposes the live isolation memo (nil when naive or not yet
@@ -307,42 +354,29 @@ func (c *Cache) SpineView() *isolate.SpineView {
 }
 
 // Apply performs the operation on the grammar via path isolation. Only
-// the start rule is modified (plus garbage collection after deletes).
-// The one-shot cache descends naively: the spine index only pays when
-// its state persists across operations, so registering spines a
-// throwaway cache immediately discards would be pure overhead.
+// the start rule is modified, plus the collection of the rules the op
+// stranded. The one-shot cache descends naively: the spine index only
+// pays when its state persists across operations, so registering spines
+// a throwaway cache immediately discards would be pure overhead.
 func Apply(g *grammar.Grammar, op Op) error {
 	c := Cache{Naive: true}
-	stranded, err := ApplyCached(g, op, &c)
-	if err != nil {
-		return err
-	}
-	if stranded {
-		g.GarbageCollect()
-	}
-	return nil
+	defer c.Collect(g)
+	return ApplyCached(g, op, &c)
 }
 
-// ApplyAll applies a sequence of operations in order. The size-vector
-// cache is shared across the whole sequence and garbage collection runs
-// once at the end instead of after every delete, so a batch of n ops
-// costs one ValSizes pass plus n start-rule refreshes.
+// ApplyAll applies a sequence of operations in order. The cache is
+// shared across the whole sequence and the stranded rules are collected
+// once at the end instead of after every op, so a batch of n ops costs
+// one ValSizes pass and one reference count plus what each op edits.
 func ApplyAll(g *grammar.Grammar, ops []Op) error {
 	var c Cache
-	stranded := false
-	defer func() {
-		// Also on the error path: deletes already applied must not leave
-		// stranded rules behind.
-		if stranded {
-			g.GarbageCollect()
-		}
-	}()
+	// Also on the error path: ops already applied must not leave
+	// stranded rules behind.
+	defer c.Collect(g)
 	for i, op := range ops {
-		s, err := ApplyCached(g, op, &c)
-		if err != nil {
+		if err := ApplyCached(g, op, &c); err != nil {
 			return fmt.Errorf("op %d: %w", i, err)
 		}
-		stranded = stranded || s
 	}
 	return nil
 }
