@@ -25,7 +25,6 @@ func checkRefs(t *testing.T, st *Store, when string) {
 	err := st.cache.Verify(st.g)
 	stranded := st.cache.Stranded()
 	left := st.g.Clone().GarbageCollect()
-	walked := st.g.Size()
 	st.mu.Unlock()
 	if err != nil {
 		t.Fatalf("%s: %v", when, err)
@@ -33,8 +32,24 @@ func checkRefs(t *testing.T, st *Store, when string) {
 	if stranded || left != 0 {
 		t.Fatalf("%s: %d rules left to collect (pending %v)", when, left, stranded)
 	}
-	if got := st.Stats().Size; got != walked {
-		t.Fatalf("%s: Stats().Size %d, walk %d", when, got, walked)
+	// Stats takes the lock itself, so an asynchronous swap may land
+	// between the walk and the call; compare only readings of one
+	// grammar, and take them again if it moved.
+	for {
+		st.mu.Lock()
+		g, walked := st.g, st.g.Size()
+		st.mu.Unlock()
+		got := st.Stats().Size
+		st.mu.Lock()
+		moved := st.g != g
+		st.mu.Unlock()
+		if moved {
+			continue
+		}
+		if got != walked {
+			t.Fatalf("%s: Stats().Size %d, walk %d", when, got, walked)
+		}
+		return
 	}
 }
 
