@@ -79,30 +79,27 @@ type spine struct {
 }
 
 // chunk is a contiguous run of spine entries with a weight sum, the
-// unit of both the seek skip and the cold-segment re-fold.
+// unit of the seek skip.
 type chunk struct {
 	sp    *spine
 	idx   int // position in sp.chunks
 	nodes []*xmltree.Node
 	w     []int64 // exact weight of entry i (see spine)
 	sum   int64   // Σ w, exact (a sum that would saturate drops the spine)
-	touch int64   // Memo.tick of the last weight or structure change
 }
 
 // chainChild returns the child index the chain continues through — the
 // last child, for both entry shapes.
 func chainChild(n *xmltree.Node) int { return len(n.Children) - 1 }
 
-// FrontierStats reports the spine index's activity. Steps/Jumps/Skipped
-// and the re-fold counters are cumulative; Entries/Spines are gauges of
+// FrontierStats reports the spine index's activity. Steps, Jumps,
+// Skipped and Registered are cumulative; Entries/Spines are gauges of
 // the live index.
 type FrontierStats struct {
-	Steps         int64 // explicit RHS nodes stepped through naively
-	Jumps         int64 // indexed seeks taken instead of walking
-	Skipped       int64 // spine entries those seeks skipped over
-	Registered    int64 // entries ever added to the index
-	Folds         int64 // cold chunks folded back into fresh rules
-	FoldedEntries int64 // entries those folds removed from the spine
+	Steps      int64 // explicit RHS nodes stepped through naively
+	Jumps      int64 // indexed seeks taken instead of walking
+	Skipped    int64 // spine entries those seeks skipped over
+	Registered int64 // entries ever added to the index
 
 	Entries int // live indexed entries
 	Spines  int // live spines
@@ -110,14 +107,12 @@ type FrontierStats struct {
 
 // AddCounters accumulates the cumulative counters of o (gauges are
 // taken from o as the more recent snapshot). Used when a retiring memo
-// folds its history into a longer-lived total.
+// adds its history to a longer-lived total.
 func (s FrontierStats) AddCounters(o FrontierStats) FrontierStats {
 	s.Steps += o.Steps
 	s.Jumps += o.Jumps
 	s.Skipped += o.Skipped
 	s.Registered += o.Registered
-	s.Folds += o.Folds
-	s.FoldedEntries += o.FoldedEntries
 	s.Entries = o.Entries
 	s.Spines = o.Spines
 	return s
@@ -136,8 +131,7 @@ func (m *Memo) Frontier() FrontierStats {
 // byte-identical output of the indexed and the naive descent with it.
 func (m *Memo) DisableIndex() { m.noIndex = true }
 
-// beginDescent resets the per-descent scratch and advances the cold
-// clock. A slot table past its limit is rebuilt here, between descents,
+// beginDescent resets the per-descent scratch. A slot table past its limit is rebuilt here, between descents,
 // when nothing holds chunk references — registration itself must never
 // reset (a reset mid-splice would leave freshly stamped slots pointing
 // into chunks the reset just detached).
@@ -153,7 +147,6 @@ func (m *Memo) beginDescent() {
 	m.crossings = m.crossings[:0]
 	m.extend = nil
 	m.extendAt = nil
-	m.tick++
 }
 
 // spineAt returns the spine position of n, if n is an indexed entry.
@@ -256,7 +249,6 @@ func (m *Memo) spliceChunks(sp *spine, at int, nodes []*xmltree.Node, w []int64)
 			sp:    sp,
 			nodes: append(make([]*xmltree.Node, 0, chunkCap), nodes[:n]...),
 			w:     append(make([]int64, 0, chunkCap), w[:n]...),
-			touch: m.tick,
 		}
 		for _, wi := range ck.w {
 			ck.sum = grammar.SatAdd(ck.sum, wi)
@@ -514,7 +506,6 @@ func (m *Memo) removeSplit(ck *chunk, off int) {
 		right = &chunk{
 			nodes: append(make([]*xmltree.Node, 0, chunkCap), ck.nodes[off+1:]...),
 			w:     append(make([]int64, 0, chunkCap), ck.w[off+1:]...),
-			touch: m.tick,
 		}
 		for _, wi := range right.w {
 			right.sum += wi
@@ -526,7 +517,6 @@ func (m *Memo) removeSplit(ck *chunk, off int) {
 	}
 	ck.nodes = ck.nodes[:off]
 	ck.w = ck.w[:off]
-	ck.touch = m.tick
 	tail := append([]*chunk(nil), sp.chunks[at+1:]...)
 	if len(ck.nodes) > 0 {
 		sp.chunks = sp.chunks[:at+1]
@@ -549,8 +539,7 @@ func (m *Memo) removeSplit(ck *chunk, off int) {
 }
 
 // splitOff registers the given chunks as their own fresh spine (the
-// second half of a spine split). Shared by removeSplit and fold so the
-// registry/idx/gauge bookkeeping lives in one place.
+// second half of a spine split).
 func (m *Memo) splitOff(chunks []*chunk) {
 	if len(chunks) == 0 {
 		return
@@ -587,7 +576,6 @@ func (m *Memo) insertAt(ck *chunk, pos int, n *xmltree.Node, w int64) {
 	copy(ck.w[pos+1:], ck.w[pos:])
 	ck.w[pos] = w
 	ck.sum += w
-	ck.touch = m.tick
 	m.restamp(ck, pos)
 	m.stats.Entries++
 	m.stats.Registered++
@@ -601,7 +589,6 @@ func (m *Memo) split(ck *chunk, pos int) (*chunk, int) {
 		sp:    ck.sp,
 		nodes: append(make([]*xmltree.Node, 0, chunkCap), ck.nodes[half:]...),
 		w:     append(make([]int64, 0, chunkCap), ck.w[half:]...),
-		touch: ck.touch,
 	}
 	for _, wi := range nc.w {
 		nc.sum += wi
@@ -636,7 +623,6 @@ func (m *Memo) removeAt(ck *chunk, off int) {
 	ck.nodes = ck.nodes[:len(ck.nodes)-1]
 	copy(ck.w[off:], ck.w[off+1:])
 	ck.w = ck.w[:len(ck.w)-1]
-	ck.touch = m.tick
 	m.stats.Entries--
 	if len(ck.nodes) == 0 {
 		sp := ck.sp
@@ -669,7 +655,6 @@ func (m *Memo) adjustWeight(n *xmltree.Node, delta int64) {
 	}
 	ck.w[off] = nw
 	ck.sum = ns
-	ck.touch = m.tick
 }
 
 // applyCrossings commits the op's node delta to every indexed ancestor
@@ -749,92 +734,6 @@ func (m *Memo) CommitDelete(p Position, removed int64) {
 	if len(p.Node.Children) > 0 {
 		m.purgeDetached(p.Node.Children[0])
 	}
-}
-
-// RefoldOptions bounds one incremental re-folding pass.
-type RefoldOptions struct {
-	// MinAge is how many descents a chunk must have gone untouched
-	// (no weight change, no structural edit) to count as cold.
-	MinAge int64
-	// MaxChunks caps how many chunks one pass may fold.
-	MaxChunks int
-}
-
-// Refold folds cold indexed segments back into fresh rank-1 rules: a
-// cold run of contiguous chunks — each entry with its first-child
-// subtree — is moved (not copied) into ONE new rule A(y1) whose
-// parameter stands for the chain continuation, and the chain
-// predecessor now calls A. The derived document is untouched; the
-// explicit spine shrinks by the whole run, so descents, clones, and
-// recompressions stop paying for material no recent op has looked at —
-// and because a run of any length folds into a single rule, cold
-// regions no longer degrade into rank-1 rule chains (one rule per
-// chunk, the pre-multi-chunk behavior). The rule's size vector is known
-// exactly from the run's weight sums, so sizes stays warm without any
-// walk. Only interior runs fold (the predecessor entry is the splice
-// point); a fold splits the spine at the removed run.
-//
-// Returns the number of rules minted (folds) and the spine entries they
-// absorbed; opt.MaxChunks bounds the chunks covered per pass.
-func (m *Memo) Refold(g *grammar.Grammar, sizes *grammar.SizeTable, opt RefoldOptions) (folds, entries int) {
-	if m == nil || m.noIndex || sizes == nil {
-		return 0, 0
-	}
-	if opt.MaxChunks <= 0 {
-		return 0, 0
-	}
-	// Snapshot maximal cold runs first: folding splits spines, which
-	// reshuffles the registries being iterated.
-	var cand [][]*chunk
-	for _, sp := range m.spines {
-		var cur []*chunk
-		for _, ck := range sp.chunks {
-			if ck.idx >= 1 && m.tick-ck.touch >= opt.MinAge {
-				cur = append(cur, ck)
-				continue
-			}
-			if len(cur) > 0 {
-				cand = append(cand, cur)
-				cur = nil
-			}
-		}
-		if len(cur) > 0 {
-			cand = append(cand, cur)
-		}
-	}
-	chunks := 0
-	for _, run := range cand {
-		if chunks >= opt.MaxChunks {
-			break
-		}
-		if budget := opt.MaxChunks - chunks; len(run) > budget {
-			run = run[:budget]
-		}
-		// Re-validate against earlier folds this pass: a fold on the same
-		// spine dropped chunks or moved them to a fresh split-off spine.
-		sp := run[0].sp
-		if sp == nil || run[0].idx < 1 {
-			continue
-		}
-		ok := true
-		for i, ck := range run {
-			if ck.sp != sp || ck.idx != run[0].idx+i {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if n := m.foldRun(g, sizes, run); n > 0 {
-			folds++
-			entries += n
-			chunks += len(run)
-		}
-	}
-	m.stats.Folds += int64(folds)
-	m.stats.FoldedEntries += int64(entries)
-	return folds, entries
 }
 
 // seedMaxDescents bounds SeedChain's search depth: each step descends
@@ -950,79 +849,4 @@ func chainEnd(nodes []*xmltree.Node, head *xmltree.Node) *xmltree.Node {
 		return nil
 	}
 	return last.Children[chainChild(last)]
-}
-
-// foldRun folds one contiguous run of chunks into a single fresh rule;
-// returns the number of entries folded (0 = not foldable). The caller
-// guarantees the run is contiguous within one spine and does not start
-// at chunk 0 (so a chain predecessor exists).
-func (m *Memo) foldRun(g *grammar.Grammar, sizes *grammar.SizeTable, run []*chunk) int {
-	first := run[0]
-	sp := first.sp
-	var sum int64
-	folded := 0
-	for _, ck := range run {
-		if len(ck.nodes) == 0 {
-			return 0
-		}
-		sum = grammar.SatAdd(sum, ck.sum)
-		folded += len(ck.nodes)
-	}
-	if grammar.Saturated(sum) {
-		return 0
-	}
-	predNode, ok := m.pred(first, 0)
-	if !ok {
-		return 0
-	}
-	head := first.nodes[0]
-	if len(predNode.Children) == 0 || predNode.Children[chainChild(predNode)] != head {
-		// Chain/index disagreement — the spine cannot be trusted.
-		m.dropSpine(sp)
-		return 0
-	}
-	lastCk := run[len(run)-1]
-	last := lastCk.nodes[len(lastCk.nodes)-1]
-	if len(last.Children) == 0 {
-		m.dropSpine(sp)
-		return 0
-	}
-	cont := last.Children[chainChild(last)]
-
-	// Spines nested inside the segment's head subtrees would outlive the
-	// move as zombies (the rule body is only ever re-entered as a copy),
-	// pinning dead nodes and inflating the Entries gauge the re-fold
-	// trigger watches — purge them like a delete purges its detached
-	// subtree. The walk is O(segment material), the same order the fold
-	// itself moves.
-	for _, ck := range run {
-		for _, n := range ck.nodes {
-			for i := 0; i < len(n.Children)-1; i++ {
-				m.purgeDetached(n.Children[i])
-			}
-		}
-	}
-
-	// Detach the whole run into a fresh rule A(y1) and call it in place.
-	last.Children[chainChild(last)] = xmltree.New(xmltree.Param(1))
-	rule := g.NewRule(1, head)
-	predNode.Children[chainChild(predNode)] = xmltree.New(xmltree.Nonterm(rule.ID), cont)
-	// The rule derives exactly the run's material before y1:
-	// size(A,0) = Σ weights, size(A,1) = 0.
-	sizes.Set(rule.ID, &grammar.SizeVectors{Seg: []int64{sum, 0}, Total: sum})
-
-	// Split the spine at the folded run: the chunks before it keep the
-	// spine, the chunks after it become their own spine (their chain now
-	// hangs off the call's argument).
-	for _, ck := range run {
-		m.clearChunkSlots(ck)
-	}
-	at := first.idx
-	tail := append([]*chunk(nil), sp.chunks[at+len(run):]...)
-	sp.chunks = sp.chunks[:at]
-	if len(sp.chunks) == 0 {
-		m.dropSpine(sp)
-	}
-	m.splitOff(tail)
-	return folded
 }

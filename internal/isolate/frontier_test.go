@@ -36,8 +36,7 @@ func (sm *spineModel) register(n int, rng *rand.Rand) {
 		w[i] = 1 + int64(rng.Intn(50))
 		if i > 0 {
 			// Chain-link the entries like a real sibling spine, so the
-			// pred/continuity checks of re-folding and spine merging see
-			// consistent material.
+			// continuity checks of spine merging see consistent material.
 			nodes[i-1].Children[1] = nodes[i]
 		}
 	}
@@ -130,35 +129,6 @@ func (sm *spineModel) splitMerge(msi, pos int) {
 	left.nodes = append(left.nodes, right.nodes...)
 	left.w = append(left.w, right.w...)
 	sm.spines = sm.spines[:len(sm.spines)-1]
-}
-
-// refold runs a bounded multi-chunk re-fold pass and reconciles the
-// model: entries whose slots were cleared either folded into a fresh
-// rule or were dropped defensively; the surviving runs of each spine are
-// now separate spines. checkInvariants then validates that the index's
-// chunk structure, weights, and gauges match the reconciled model.
-func (sm *spineModel) refold(g *grammar.Grammar, sizes *grammar.SizeTable, maxChunks int) {
-	sm.m.Refold(g, sizes, RefoldOptions{MinAge: 0, MaxChunks: maxChunks})
-	var next []*modelSpine
-	for _, ms := range sm.spines {
-		var cur *modelSpine
-		for i, n := range ms.nodes {
-			if _, _, ok := sm.m.spineAt(n); ok {
-				if cur == nil {
-					cur = &modelSpine{}
-				}
-				cur.nodes = append(cur.nodes, n)
-				cur.w = append(cur.w, ms.w[i])
-			} else if cur != nil {
-				next = append(next, cur)
-				cur = nil
-			}
-		}
-		if cur != nil {
-			next = append(next, cur)
-		}
-	}
-	sm.spines = next
 }
 
 // checkView snapshots a frozen read-only view and checks it against the
@@ -324,8 +294,6 @@ func (sm *spineModel) checkInvariants() {
 func driveSpineModel(t *testing.T, data []byte) {
 	sm := &spineModel{t: t, m: NewMemo()}
 	rng := rand.New(rand.NewSource(1))
-	g := grammar.New(nil)
-	sizes := grammar.NewSizeTable(g)
 	sm.register(40+int(uint(len(data))%200), rng)
 	sm.checkInvariants()
 	for i := 0; i+1 < len(data); i += 2 {
@@ -336,7 +304,7 @@ func driveSpineModel(t *testing.T, data []byte) {
 			sm.checkInvariants()
 			continue
 		}
-		switch op % 8 {
+		switch op % 7 {
 		case 0:
 			sm.insert(msi, pos, rng)
 		case 1:
@@ -350,8 +318,6 @@ func driveSpineModel(t *testing.T, data []byte) {
 		case 5:
 			sm.splitMerge(msi, pos)
 		case 6:
-			sm.refold(g, sizes, 1+int(arg%8))
-		case 7:
 			sm.checkView(rng)
 		}
 		sm.checkInvariants()
@@ -387,9 +353,9 @@ func FuzzSpineIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{2, 0, 2, 0, 2, 0, 4, 9})
 	f.Add([]byte{1, 1, 1, 1, 0, 0, 0, 0, 3, 200, 4, 4})
-	f.Add([]byte{5, 0, 5, 1, 5, 2, 7, 0})               // split→merge cycles + view
-	f.Add([]byte{6, 3, 7, 0, 6, 7, 4, 9, 5, 0, 6, 1})   // refold, view, merge interleaved
-	f.Add([]byte{2, 0, 0, 0, 6, 200, 7, 7, 1, 1, 6, 0}) // split, insert, deep refold, view
+	f.Add([]byte{5, 0, 5, 1, 5, 2, 6, 0})             // split→merge cycles + view
+	f.Add([]byte{6, 3, 5, 0, 6, 7, 4, 9, 5, 0, 6, 1}) // view, merge, seek interleaved
+	f.Add([]byte{2, 0, 0, 0, 6, 200, 1, 1, 6, 0})     // split, insert, view, remove, view
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -451,90 +417,6 @@ func flatChainGrammar(n int) *grammar.Grammar {
 	}
 	doc := root.Binary()
 	return grammar.FromDocument(doc)
-}
-
-// TestRefoldPreservesValAndSizes registers a long spine by descending a
-// flat explicit chain, folds its cold interior chunks into fresh rules,
-// and verifies the grammar still validates, derives the identical tree,
-// and got exact size vectors for the new rules.
-func TestRefoldPreservesValAndSizes(t *testing.T) {
-	g := flatChainGrammar(400)
-	want, err := g.Expand(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes, err := g.ValSizes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := NewMemo()
-	total := sizes.Get(g.Start).Total
-	// Deep descents register the chain.
-	for i := 0; i < 8; i++ {
-		if _, err := IsolateMemo(g, total-2, sizes, memo); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if memo.Frontier().Entries < 2*chunkFill {
-		t.Fatalf("chain not indexed: %+v", memo.Frontier())
-	}
-	memo.tick += 100 // age every chunk
-	folds, entries := memo.Refold(g, sizes, RefoldOptions{MinAge: 50, MaxChunks: 4})
-	if folds == 0 || entries == 0 {
-		t.Fatalf("nothing folded: %+v", memo.Frontier())
-	}
-	if g.NumRules() != 1+folds {
-		t.Fatalf("expected %d fresh rules, have %d rules", folds, g.NumRules())
-	}
-	// Multi-chunk: the cold interior is one contiguous run, so a 4-chunk
-	// budget folds into ONE rule absorbing several chunks' entries — not
-	// the pre-PR-8 one-rule-per-chunk chain.
-	if folds != 1 {
-		t.Fatalf("contiguous cold run split into %d folds", folds)
-	}
-	if entries <= 2*chunkFill {
-		t.Fatalf("fold absorbed only %d entries, want a multi-chunk run", entries)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("grammar invalid after refold: %v", err)
-	}
-	got, err := g.Expand(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !xmltree.Equal(got, want) {
-		t.Fatal("refold changed the derived tree")
-	}
-	// The installed vectors must match a from-scratch recomputation.
-	fresh, err := g.ValSizes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Rules(func(r *grammar.Rule) {
-		sv, fv := sizes.Get(r.ID), fresh.Get(r.ID)
-		if sv == nil {
-			t.Fatalf("rule N%d missing from the warm table", r.ID)
-		}
-		if sv.Total != fv.Total || len(sv.Seg) != len(fv.Seg) {
-			t.Fatalf("rule N%d vectors diverge: %+v vs %+v", r.ID, sv, fv)
-		}
-		for i := range sv.Seg {
-			if sv.Seg[i] != fv.Seg[i] {
-				t.Fatalf("rule N%d Seg[%d]: %d vs %d", r.ID, i, sv.Seg[i], fv.Seg[i])
-			}
-		}
-	})
-	// Isolation still lands on the right nodes through the folded rules.
-	for p := int64(0); p < total; p += 97 {
-		pos, err := IsolateMemo(g, p, sizes, memo)
-		if err != nil {
-			t.Fatalf("isolate(%d) after refold: %v", p, err)
-		}
-		wantNode := want.PreorderIndex(int(p))
-		if pos.Node.Label != wantNode.Label {
-			t.Fatalf("isolate(%d) after refold: wrong label", p)
-		}
-	}
 }
 
 // TestIndexedDescentAllocFree pins the steady-state indexed descent at

@@ -75,8 +75,7 @@ type Memo struct {
 	// in order, for the owner's reference counts (see Unfolded).
 	unfolded []int32
 
-	tick    int64 // descents started; the cold clock of chunk.touch
-	noIndex bool  // naive descent (differential tests / baselines)
+	noIndex bool // naive descent (differential tests / baselines)
 
 	stats FrontierStats
 }

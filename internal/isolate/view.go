@@ -9,14 +9,16 @@
 // View does NOT copy chunk contents: each view spine aliases the live
 // chunks' node and weight slices. That is race-free only under the
 // store's generation protocol (internal/store/generation.go): chunks
-// are mutated exclusively by the write path (descents, commit hooks,
-// re-folding), and every write-path mutation starts by privatizing the
-// grammar — if any reader pinned the published generation, the writer
-// moves to a fresh clone AND retires the memo (update.Cache.Install),
-// so the chunks a published view aliases are never touched again; if no
-// reader pinned it, the writer reclaims the generation and the view
-// becomes unreachable before the first mutation. A view must therefore
-// only ever be handed out together with the frozen grammar generation
+// are mutated exclusively by the write path (descents and commit
+// hooks), and every write-path mutation starts by privatizing the
+// grammar. If any reader pinned the published generation, the writer
+// moves to a fresh clone AND retires the memo (update.Cache.MoveTo):
+// descents edit through the memo's node pointers, which point into the
+// pinned grammar, so the memo cannot follow the clone, and the chunks a
+// published view aliases are never touched again. If no reader pinned
+// it, the writer reclaims the generation and the view becomes
+// unreachable before the first mutation. A view must therefore only
+// ever be handed out together with the frozen grammar generation
 // it was built against.
 //
 // # Why membership is head-only

@@ -127,10 +127,8 @@ func OpenDurable(id string, cfg Config) (*Store, error) {
 	st.lastSeq = rec.LastSeq
 	// The replayed ops were counted by the incarnation that first
 	// applied them (in a fleet they already sit in the retired totals),
-	// so the counters restart here with only the recovery results. The
-	// cost trigger's op baseline shifts with them, keeping its window.
+	// so the counters restart here with only the recovery results.
 	st.mu.Lock()
-	st.costBaseOps -= st.ctr.Ops
 	st.ctr = Counters{
 		RecoveredOps:         rec.Stats.RecoveredOps,
 		TruncatedTailRecords: rec.Stats.TruncatedTailRecords,

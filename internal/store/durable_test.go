@@ -316,7 +316,7 @@ func TestKillAndReopenDifferential(t *testing.T) {
 }
 
 // TestDurableWithRecompressionRecoversDocument: with the full
-// maintenance machinery on (auto + async recompression, refold), the
+// maintenance machinery on (auto + async recompression), the
 // encoded bytes legitimately differ between a live grammar and its
 // snapshot+replay reconstruction — but the derived document must not.
 func TestDurableWithRecompressionRecoversDocument(t *testing.T) {

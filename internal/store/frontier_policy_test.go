@@ -1,7 +1,6 @@
-// Tests for the PR 5 isolation-frontier features of the Store: the
-// indexed-vs-naive differential, the re-fold policy, the
-// isolation-cost recompression trigger, and the fleet-wide
-// recompression gate.
+// Tests for the isolation-frontier features of the Store: the
+// indexed-vs-naive differential on the write path and on point
+// queries.
 package store
 
 import (
@@ -13,7 +12,6 @@ import (
 	"repro/internal/treerepair"
 	"repro/internal/update"
 	"repro/internal/workload"
-	"repro/internal/xmltree"
 )
 
 // streamFixture is a pinned workload against a compressed corpus
@@ -31,17 +29,6 @@ func streamFixture(t *testing.T, short string, ops int, seed int64) (*grammar.Gr
 	}
 	g, _ := treerepair.Compress(seq.Seed, treerepair.Options{})
 	return g, seq.Ops
-}
-
-// flatLogGrammar compresses a small flat log document — the append
-// fixture of the gate test.
-func flatLogGrammar(n int) *grammar.Grammar {
-	root := xmltree.NewUnranked("log")
-	for i := 0; i < n; i++ {
-		root.Children = append(root.Children, xmltree.NewUnranked("rec"))
-	}
-	g, _ := treerepair.Compress(root.Binary(), treerepair.Options{})
-	return g
 }
 
 // TestFrontierVsNaiveByteIdentical replays the same streams through an
@@ -87,63 +74,6 @@ func TestFrontierVsNaiveByteIdentical(t *testing.T) {
 				t.Fatalf("%s seed %d: naive store used the index: %+v", short, seed, nst)
 			}
 		}
-	}
-}
-
-// TestRefoldPolicyDifferential drives an aggressively re-folding Store
-// and a naive baseline through the same stream: the derived documents
-// must match exactly at every boundary even though the grammars now
-// differ (re-folding moves explicit material into fresh rules).
-func TestRefoldPolicyDifferential(t *testing.T) {
-	g, ops := streamFixture(t, "EW", 300, 3)
-	refolding := New(g.Clone(), Config{
-		Ratio:          1e9, // size trigger effectively off
-		MinSize:        1,
-		CostStepsPerOp: -1, // cost trigger off
-		RefoldSpine:    24, // fold eagerly
-		RefoldColdOps:  8,
-	})
-	baseline := New(g, Config{Ratio: -1})
-	baseline.cache.Naive = true
-	for done := 0; done < len(ops); done += 20 {
-		end := min(done+20, len(ops))
-		if err := refolding.ApplyAll(ops[done:end]); err != nil {
-			t.Fatalf("refolding store: %v", err)
-		}
-		if err := baseline.ApplyAll(ops[done:end]); err != nil {
-			t.Fatalf("baseline store: %v", err)
-		}
-		gr, gb := refolding.Snapshot(), baseline.Snapshot()
-		tr, err := gr.Expand(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb, err := gb.Expand(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameLabeledTree(gr.Syms, tr, gb.Syms, tb) {
-			t.Fatalf("documents diverge after %d ops", end)
-		}
-		if err := gr.Validate(); err != nil {
-			t.Fatalf("refolded grammar invalid after %d ops: %v", end, err)
-		}
-	}
-	st := refolding.Stats()
-	if st.Refolds == 0 || st.RefoldedNodes == 0 {
-		t.Fatalf("re-folding never fired: %+v", st)
-	}
-	// Aggregate reads stay consistent with the ground truth document.
-	re, err := refolding.Elements()
-	if err != nil {
-		t.Fatal(err)
-	}
-	be, err := baseline.Elements()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re != be {
-		t.Fatalf("Elements: refolding %d, baseline %d", re, be)
 	}
 }
 
@@ -205,174 +135,5 @@ func TestStorePointQueryDifferential(t *testing.T) {
 				t.Fatal("indexed store cursor never used the spine view")
 			}
 		})
-	}
-}
-
-// TestFoldFirstRecompression pins the fold-first policy: when the cost
-// trigger hands the grammar to GrammarRePair, cold spines fold into
-// fresh rules first (shrinking the compressor's input), and the result
-// still derives exactly the naive baseline's document.
-func TestFoldFirstRecompression(t *testing.T) {
-	g, ops := streamFixture(t, "EW", 300, 3)
-	folding := New(g.Clone(), Config{
-		Ratio:          1e9, // size trigger effectively off
-		MinSize:        1,
-		CostStepsPerOp: 1,       // any real walking fires at the boundary
-		RefoldSpine:    1 << 30, // boundary re-folds off: only fold-first folds
-	})
-	baseline := New(g, Config{Ratio: -1})
-	baseline.cache.Naive = true
-	for done := 0; done < len(ops); done += 150 {
-		end := min(done+150, len(ops))
-		if err := folding.ApplyAll(ops[done:end]); err != nil {
-			t.Fatalf("folding store: %v", err)
-		}
-		if err := baseline.ApplyAll(ops[done:end]); err != nil {
-			t.Fatalf("baseline store: %v", err)
-		}
-	}
-	st := folding.Stats()
-	if st.CostRecompressions == 0 {
-		t.Fatalf("cost trigger never fired: %+v", st)
-	}
-	if st.FoldFirstRuns == 0 || st.RefoldRules == 0 {
-		t.Fatalf("no recompression input was pre-folded: %+v", st)
-	}
-	gf, gb := folding.Snapshot(), baseline.Snapshot()
-	if err := gf.Validate(); err != nil {
-		t.Fatalf("fold-first grammar invalid: %v", err)
-	}
-	tf, err := gf.Expand(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := gb.Expand(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameLabeledTree(gf.Syms, tf, gb.Syms, tb) {
-		t.Fatal("fold-first store diverged from the naive baseline")
-	}
-}
-
-// TestCostTriggerRecompression pins the isolation-cost trigger: with
-// the size trigger effectively disabled, sustained descent work alone
-// must fire a recompression (and reset its own baseline afterwards).
-func TestCostTriggerRecompression(t *testing.T) {
-	g, ops := streamFixture(t, "EW", 200, 9)
-	s := New(g, Config{
-		Ratio:          1e9, // never by size
-		MinSize:        1,
-		CostStepsPerOp: 1, // any real walking fires
-		RefoldSpine:    -1,
-	})
-	for done := 0; done < len(ops); done += 20 {
-		end := min(done+20, len(ops))
-		if err := s.ApplyAll(ops[done:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.CostRecompressions == 0 {
-		t.Fatalf("cost trigger never fired: %+v", st)
-	}
-	if st.Recompressions < st.CostRecompressions {
-		t.Fatalf("cost firings (%d) not reflected in recompressions (%d)",
-			st.CostRecompressions, st.Recompressions)
-	}
-}
-
-// TestRecompressGateBounds pins the fleet-wide scheduler: with a
-// width-1 gate shared by two Stores and the first Store's asynchronous
-// run held in flight, the second Store's policy firing must defer (not
-// spawn), and fire for real once the gate frees up.
-func TestRecompressGateBounds(t *testing.T) {
-	shared := NewRecompressGate(1)
-	cfg := Config{Ratio: 1.01, MinSize: 1, Async: true, Gate: shared}
-
-	a := New(flatLogGrammar(64), cfg)
-	ga := newGate(1)
-	ga.install(a)
-	b := New(flatLogGrammar(64), cfg)
-
-	// Degrade a store until its policy fires; with the gated compressor
-	// installed, a spawned run parks inside the compressor and holds the
-	// shared gate slot.
-	degrade := func(s *Store, n int) {
-		for i := 0; i < n; i++ {
-			ts, err := s.TreeSize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			op := update.Op{Kind: update.Insert, Pos: ts - 1, Frag: xmltree.NewUnranked("rec")}
-			if err := s.Apply(op); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	degrade(a, 12)
-	<-ga.entered // A's run is in flight, gate slot taken
-
-	// B degrades: its policy fires but must defer on the saturated gate.
-	degrade(b, 24)
-	if st := b.Stats(); st.DeferredRecompressions == 0 {
-		t.Fatalf("B never deferred: %+v", st)
-	} else if st.AsyncRecompressions != 0 {
-		t.Fatalf("B recompressed through a saturated gate: %+v", st)
-	}
-
-	// Release A; its run completes and frees the gate. B's next batch
-	// boundary fires for real.
-	close(ga.release)
-	a.Wait()
-	degrade(b, 12)
-	b.Wait()
-	if st := b.Stats(); st.Recompressions == 0 {
-		t.Fatalf("B never recompressed after the gate freed: %+v", st)
-	}
-}
-
-// TestShardedSharedGate pins the fleet wiring: MaxConcurrentRecompressions
-// materializes one shared gate for every document of a Sharded store,
-// and the deferred counter aggregates into ShardedStats.
-func TestShardedSharedGate(t *testing.T) {
-	ss := NewSharded(2, Config{
-		Ratio: 1.01, MinSize: 1, Async: true,
-		MaxConcurrentRecompressions: 1,
-	})
-	defer ss.Close()
-	if ss.cfg.Gate == nil {
-		t.Fatal("NewSharded did not materialize the shared gate")
-	}
-	for _, id := range []string{"a", "b", "c", "d"} {
-		if _, err := ss.Open(id, flatLogGrammar(48)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 10; round++ {
-		for _, id := range ss.Docs() {
-			st, _ := ss.Get(id)
-			ts, err := st.TreeSize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			op := update.Op{Kind: update.Insert, Pos: ts - 1, Frag: xmltree.NewUnranked("rec")}
-			if err := ss.Apply(id, op); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ss.Quiesce()
-	agg := ss.Stats()
-	var perDoc int64
-	for _, id := range ss.Docs() {
-		st, _ := ss.Get(id)
-		perDoc += st.Stats().DeferredRecompressions
-	}
-	if agg.DeferredRecompressions != perDoc {
-		t.Fatalf("aggregate deferred %d, per-doc sum %d", agg.DeferredRecompressions, perDoc)
-	}
-	if agg.Recompressions == 0 {
-		t.Fatalf("fleet never recompressed: %+v", agg)
 	}
 }

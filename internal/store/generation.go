@@ -224,8 +224,9 @@ func (s *Store) acquireGen() *generation {
 // counts carry over as they are: the clone keeps every rule ID, and
 // readers never look at them. The isolation memo is not carried over at
 // all — its spine index holds node pointers into the shared grammar,
-// and a later Refold would splice those foreign nodes into the private
-// copy; update.Cache.MoveTo abandons it to the pinned generation.
+// and descents edit through those pointers, so the next op would mutate
+// the frozen grammar instead of the private copy; update.Cache.MoveTo
+// abandons it to the pinned generation.
 func (s *Store) ensurePrivateLocked() {
 	gn := s.pub.Load()
 	if gn == nil || gn.g != s.g {

@@ -69,19 +69,11 @@ func applyBatches(t *testing.T, st *Store, ops []update.Op, seed int64, after fu
 }
 
 // TestStoreRefsMatchRecount is the Store-level differential of the
-// reference counts: across re-folds, synchronous and asynchronous
-// recompression (tail replay included), copy-on-write clones forced by
-// pinned generations, and a durable reopen, the counts must equal a
-// recount and every batch must leave nothing to collect.
+// reference counts: across synchronous and asynchronous recompression
+// (tail replay included), copy-on-write clones forced by pinned
+// generations, and a durable reopen, the counts must equal a recount
+// and every batch must leave nothing to collect.
 func TestStoreRefsMatchRecount(t *testing.T) {
-	t.Run("refold", func(t *testing.T) {
-		g, ops := streamFixture(t, "EW", 300, 3)
-		st := New(g, Config{Ratio: 1e9, MinSize: 1, CostStepsPerOp: -1, RefoldSpine: 24, RefoldColdOps: 8})
-		applyBatches(t, st, ops, 1, func(end int) { checkRefs(t, st, fmt.Sprintf("after %d ops", end)) })
-		if s := st.Stats(); s.Refolds == 0 || s.RulesCollected == 0 {
-			t.Fatalf("refolds %d, rules collected %d: the stream does not exercise both", s.Refolds, s.RulesCollected)
-		}
-	})
 	t.Run("recompress", func(t *testing.T) {
 		g, ops := streamFixture(t, "XM", 300, 5)
 		st := New(g, Config{Ratio: 1.2, MinSize: 16})

@@ -144,12 +144,6 @@ func (sh *shard) entries() []*docEntry {
 // NewSharded returns a multi-document store with the given shard count
 // (n <= 0 selects GOMAXPROCS) whose documents all use cfg. It starts no
 // goroutines; call Close to close the documents' Stores.
-//
-// With Config.MaxConcurrentRecompressions > 0 (and no explicit Gate)
-// the fleet shares one RecompressGate of that width: however many
-// documents degrade at once, at most that many background GrammarRePair
-// runs execute concurrently — the rest defer and fire at a later batch
-// boundary (summed in ShardedStats.DeferredRecompressions).
 func NewSharded(n int, cfg ...Config) *Sharded {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -157,9 +151,6 @@ func NewSharded(n int, cfg ...Config) *Sharded {
 	var c Config
 	if len(cfg) > 0 {
 		c = cfg[0]
-	}
-	if c.Gate == nil && c.MaxConcurrentRecompressions > 0 {
-		c.Gate = NewRecompressGate(c.MaxConcurrentRecompressions)
 	}
 	s := &Sharded{cfg: c, shards: make([]*shard, n)}
 	for i := range s.shards {

@@ -38,6 +38,10 @@
 //     (up to MaxRatio) so incompressible churn is not recompressed in a
 //     tight loop, and when recompression pays off the trigger resets to
 //     the configured base. Set Ratio < 0 for manual-only Recompress.
+//     The ratio trigger, run synchronously or asynchronously (below),
+//     and a manual Recompress are the only recompression policies, so
+//     when a run fires depends on the op stream alone, never on what
+//     readers did.
 //
 // # Asynchronous recompression
 //
@@ -118,35 +122,6 @@ type Config struct {
 	// past the bound the run is discarded instead (0 = DefaultMaxTail,
 	// negative = never replay).
 	MaxTail int
-	// CostStepsPerOp triggers recompression from observed isolation cost
-	// rather than grammar growth: when the average naive descent work per
-	// operation since the last recompression exceeds this many walk
-	// steps, the grammar's unfolded shape has degraded enough to be worth
-	// recompressing even though |G| is within Ratio. 0 selects
-	// DefaultCostStepsPerOp; negative disables the cost trigger.
-	// Inactive (like the whole policy) when Ratio < 0.
-	CostStepsPerOp int
-	// RefoldSpine triggers incremental re-folding at batch boundaries
-	// once the isolation frontier indexes at least this many spine
-	// entries: cold segments (untouched for RefoldColdOps operations)
-	// are folded back into fresh rules, shrinking the explicit start RHS
-	// without a recompression. 0 selects DefaultRefoldSpine; negative
-	// disables re-folding. Inactive when Ratio < 0.
-	RefoldSpine int
-	// RefoldColdOps is how many operations a spine segment must go
-	// untouched before it counts as cold (0 = DefaultRefoldColdOps).
-	RefoldColdOps int
-	// Gate, when non-nil, bounds how many background GrammarRePair runs
-	// may execute concurrently across every Store sharing the gate — the
-	// fleet-wide recompression scheduler. A policy firing while the gate
-	// is saturated is deferred (Stats.DeferredRecompressions) and simply
-	// fires again at a later batch boundary. Only asynchronous runs
-	// consult the gate.
-	Gate *RecompressGate
-	// MaxConcurrentRecompressions, when > 0 and Gate is nil, makes
-	// NewSharded create one shared gate of that width for the whole
-	// fleet. Ignored by single-document Stores (set Gate directly there).
-	MaxConcurrentRecompressions int
 	// MemoryBudget, when > 0, bounds a Sharded fleet's resident
 	// footprint: once the summed ResidentBytes estimate of every live
 	// document exceeds the budget, the coldest documents (least recently
@@ -163,52 +138,12 @@ type Config struct {
 	Durability *Durability
 }
 
-// RecompressGate is a semaphore shared between Stores that bounds
-// fleet-wide concurrent background recompressions; see Config.Gate.
-type RecompressGate struct {
-	sem chan struct{}
-}
-
-// NewRecompressGate returns a gate admitting n concurrent background
-// recompressions (n < 1 is clamped to 1).
-func NewRecompressGate(n int) *RecompressGate {
-	if n < 1 {
-		n = 1
-	}
-	return &RecompressGate{sem: make(chan struct{}, n)}
-}
-
-func (g *RecompressGate) tryAcquire() bool {
-	select {
-	case g.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (g *RecompressGate) release() { <-g.sem }
-
 // Policy defaults; see Config.
 const (
 	DefaultRatio    = 1.5
 	DefaultMaxRatio = 4.0
 	DefaultMinSize  = 64
 	DefaultMaxTail  = 128
-	// DefaultCostStepsPerOp: a healthy indexed descent does a few dozen
-	// naive steps; thousands per op mean the walk is grinding through
-	// degraded unfold material the index cannot cover.
-	DefaultCostStepsPerOp = 4096
-	// DefaultRefoldSpine/DefaultRefoldColdOps: re-fold once the index
-	// holds a few thousand entries, folding segments no op has touched
-	// for a few hundred operations.
-	DefaultRefoldSpine   = 4096
-	DefaultRefoldColdOps = 256
-	// refoldMaxChunks bounds one batch boundary's folding work.
-	refoldMaxChunks = 8
-	// costTriggerMinOps: the cost trigger needs a sample this large
-	// before the steps/op average is trustworthy.
-	costTriggerMinOps = 32
 )
 
 // payoffThreshold is the minimum shrink factor (size before / size after)
@@ -235,12 +170,17 @@ type Counters struct {
 	AsyncRecompressions     int64 // of those, runs compressed off the write lock
 	DiscardedRecompressions int64 // async runs thrown away (tail overflow / raced)
 	ReplayedTailOps         int64 // ops replayed onto async results before swap
-	CostRecompressions      int64 // runs fired by the isolation-cost trigger
-	DeferredRecompressions  int64 // async runs deferred by a saturated Gate
+	// Deprecated: always 0. The isolation-cost trigger is gone; the
+	// field stays until no benchmark reads it.
+	CostRecompressions int64
+	// Deprecated: always 0. The fleet recompression gate is gone; the
+	// field stays until no benchmark reads it.
+	DeferredRecompressions int64
 	// StallNanos is the cumulative write-lock time spent on
 	// recompression work: the whole GrammarRePair pass for synchronous
-	// runs, only the snapshot clone and the swap for asynchronous ones —
-	// the number the async mode exists to shrink.
+	// runs; for asynchronous ones the snapshot clone, then the swap with
+	// its tail replay and collection — the number the async mode exists
+	// to shrink.
 	StallNanos int64
 
 	SizeCacheHits    int64 // ops served from the warm size-vector cache
@@ -251,17 +191,18 @@ type Counters struct {
 	RulesCollected   int64 // rules removed by those collections
 
 	// Isolation-frontier counters (internal/isolate's spine index).
-	// IsolationSteps is the naive descent work the cost trigger watches;
-	// IsolationJumps/IsolationSkipped are the seeks that replaced walks
-	// and the entries they skipped; the Refold counters record
-	// incremental re-folding activity.
+	// IsolationSteps is the naive descent work: explicit start-RHS nodes
+	// stepped through one by one; IsolationJumps/IsolationSkipped are the
+	// seeks that replaced walks and the entries they skipped.
 	IsolationSteps   int64
 	IsolationJumps   int64
 	IsolationSkipped int64
-	Refolds          int64 // batch boundaries that folded ≥ 1 segment
-	RefoldedNodes    int64 // spine entries folded back into rules
-	RefoldRules      int64 // fresh rules those folds created
-	FoldFirstRuns    int64 // recompressions whose input a pre-fold shrank
+	// Deprecated: always 0. Re-folding is gone; the field stays until
+	// no benchmark reads it.
+	Refolds int64
+	// Deprecated: always 0. Re-folding is gone; the field stays until
+	// no benchmark reads it.
+	RefoldedNodes int64
 
 	// Durability counters; all zero for in-memory Stores.
 	WALAppends       int64 // acked batches appended to the log
@@ -290,8 +231,6 @@ func (c *Counters) add(o Counters) {
 	c.AsyncRecompressions += o.AsyncRecompressions
 	c.DiscardedRecompressions += o.DiscardedRecompressions
 	c.ReplayedTailOps += o.ReplayedTailOps
-	c.CostRecompressions += o.CostRecompressions
-	c.DeferredRecompressions += o.DeferredRecompressions
 	c.StallNanos += o.StallNanos
 	c.SizeCacheHits += o.SizeCacheHits
 	c.SizeCacheMisses += o.SizeCacheMisses
@@ -302,10 +241,6 @@ func (c *Counters) add(o Counters) {
 	c.IsolationSteps += o.IsolationSteps
 	c.IsolationJumps += o.IsolationJumps
 	c.IsolationSkipped += o.IsolationSkipped
-	c.Refolds += o.Refolds
-	c.RefoldedNodes += o.RefoldedNodes
-	c.RefoldRules += o.RefoldRules
-	c.FoldFirstRuns += o.FoldFirstRuns
 	c.WALAppends += o.WALAppends
 	c.WALBytes += o.WALBytes
 	c.WALSyncs += o.WALSyncs
@@ -394,11 +329,6 @@ type Store struct {
 	// compress is the GrammarRePair entry point; tests inject a slow or
 	// instrumented compressor to pin the swap protocol deterministically.
 	compress func(*grammar.Grammar, core.Options) (*grammar.Grammar, *core.Stats)
-
-	// Cost-trigger baseline: the frontier counters at the last
-	// recompression, so the trigger watches steps/op since then.
-	costBaseSteps int64
-	costBaseOps   int64
 
 	// Durability state (all guarded by mu; nil wl = in-memory Store).
 	// walPos counts ops durably appended; it tracks the grammar's
@@ -606,7 +536,7 @@ func (s *Store) applyLocked(op update.Op) error {
 }
 
 // finishBatchLocked collects the rules the batch stranded and runs the
-// recompression/re-fold policy at a batch boundary. |G| is read from the
+// recompression policy at a batch boundary. |G| is read from the
 // cache's exact count: nothing here walks a rule. (Usage staleness
 // needs no handling here: usage vectors are cached per generation, and
 // the batch publishes a fresh generation right after this returns.)
@@ -619,128 +549,13 @@ func (s *Store) finishBatchLocked() {
 	if s.cfg.Ratio < 0 {
 		return
 	}
-	fire := size >= s.cfg.MinSize && float64(size) > s.effRatio*float64(s.lastCompressed)
-	costFired := false
-	if !fire && s.costTriggerLocked() {
-		// The grammar is within the size budget but its unfolded shape
-		// makes isolation grind: recompress anyway.
-		fire = true
-		costFired = true
-	}
-	if fire {
-		started := true
-		if s.cfg.Async {
-			// A firing can be absorbed (run already inflight, or the
-			// fleet gate is saturated); only a launched run counts as a
-			// cost-triggered recompression, or the counter would inflate
-			// by one per batch boundary until the inflight run lands.
-			started = s.startAsyncRecompressLocked(costFired)
-		} else {
-			s.recompressLocked(costFired)
-		}
-		if started && costFired {
-			s.ctr.CostRecompressions++
-		}
+	if size < s.cfg.MinSize || float64(size) <= s.effRatio*float64(s.lastCompressed) {
 		return
 	}
-	s.refoldLocked()
-}
-
-// costTriggerLocked reports whether observed isolation cost — naive
-// descent steps per operation since the last recompression — exceeds
-// the configured budget.
-func (s *Store) costTriggerLocked() bool {
-	if s.cfg.CostStepsPerOp < 0 {
-		return false
-	}
-	budget := int64(s.cfg.CostStepsPerOp)
-	if budget == 0 {
-		budget = DefaultCostStepsPerOp
-	}
-	opsSince := s.ctr.Ops - s.costBaseOps
-	if opsSince < costTriggerMinOps {
-		return false
-	}
-	stepsSince := s.cache.FrontierStats().Steps - s.costBaseSteps
-	return stepsSince/opsSince > budget
-}
-
-// resetCostBaselineLocked re-anchors the cost trigger after a
-// recompression (the unfolded shape it measured is gone).
-func (s *Store) resetCostBaselineLocked() {
-	s.costBaseSteps = s.cache.FrontierStats().Steps
-	s.costBaseOps = s.ctr.Ops
-}
-
-// refoldLocked runs one bounded incremental re-folding pass when the
-// isolation frontier has grown past the configured spine budget: cold
-// indexed segments fold back into fresh rules, shrinking the explicit
-// start RHS (and every future clone and recompression input) without
-// a GrammarRePair run. Document content is untouched, so no epoch bump
-// — an in-flight asynchronous recompression swaps in regardless, which
-// simply discards the fold's rules along with the rest of the degraded
-// grammar.
-func (s *Store) refoldLocked() {
-	if s.cfg.RefoldSpine < 0 {
-		return
-	}
-	minSpine := s.cfg.RefoldSpine
-	if minSpine == 0 {
-		minSpine = DefaultRefoldSpine
-	}
-	if s.cache.FrontierStats().Entries < minSpine {
-		return
-	}
-	coldOps := int64(s.cfg.RefoldColdOps)
-	if coldOps == 0 {
-		coldOps = DefaultRefoldColdOps
-	}
-	// Folding mints fresh rules — a mutation. Normally applyLocked has
-	// already privatized the grammar this critical section; if not (and
-	// a reader forces a clone here) the clone retired the memo and
-	// Refold below is a harmless no-op.
-	s.ensurePrivateLocked()
-	folds, entries := s.cache.Refold(s.g, coldOps, refoldMaxChunks)
-	if folds > 0 {
-		s.ctr.Refolds++
-		s.ctr.RefoldRules += int64(folds)
-		s.ctr.RefoldedNodes += int64(entries)
-	}
-}
-
-// foldFirstLocked re-folds every cold spine run back into fresh rules
-// right before a recompression consumes the grammar: GrammarRePair's
-// pass is O(input size), and the unfolded chains the frontier indexes
-// are exactly the material folding removes — so folding first shrinks
-// the compressor's input (and an asynchronous run's snapshot clone)
-// without changing the document. Age and chunk budgets are waived
-// (coldOps 0, unbounded chunks): everything foldable folds, since the
-// recompression invalidates the index anyway. A no-op when re-folding
-// is disabled or the frontier is empty/naive.
-//
-// Only COST-triggered recompressions fold first. The spine index is a
-// cache whose contents depend on reader activity (a reader pinning a
-// generation forces the writer to clone and retire the memo), so a
-// fold injects that history into the compressor's input. The cost
-// trigger is already reader-sensitive by nature — it measures observed
-// descent work — but the ratio trigger and manual Recompress are pure
-// functions of the op stream, and must stay byte-deterministic no
-// matter who read what (pinned by TestShardedDifferentialConcurrency's
-// concurrent-vs-sequential byte equality).
-func (s *Store) foldFirstLocked() {
-	if s.cfg.RefoldSpine < 0 {
-		return
-	}
-	// Folding mints rules — a mutation; privatize first. If a reader
-	// forces a clone here the cache hand-off retires the memo and the
-	// Refold below is a harmless no-op.
-	s.ensurePrivateLocked()
-	folds, entries := s.cache.Refold(s.g, 0, 1<<30)
-	if folds > 0 {
-		s.ctr.FoldFirstRuns++
-		s.ctr.Refolds++
-		s.ctr.RefoldRules += int64(folds)
-		s.ctr.RefoldedNodes += int64(entries)
+	if s.cfg.Async {
+		s.startAsyncRecompressLocked()
+	} else {
+		s.recompressLocked()
 	}
 }
 
@@ -750,23 +565,11 @@ func (s *Store) foldFirstLocked() {
 // counts off the lock. At
 // most one run is in flight per Store; while the policy keeps firing the
 // grammar just keeps growing until the swap lands.
-func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
+func (s *Store) startAsyncRecompressLocked() {
 	if s.inflight {
-		return false
-	}
-	if s.cfg.Gate != nil && !s.cfg.Gate.tryAcquire() {
-		// The fleet's recompression budget is spent; defer — the policy
-		// fires again at a later batch boundary.
-		s.ctr.DeferredRecompressions++
-		return false
+		return
 	}
 	start := time.Now()
-	// Fold-first before the snapshot clone: the fold shrinks both the
-	// clone (the writer-visible stall) and the background compressor's
-	// input.
-	if foldFirst {
-		s.foldFirstLocked()
-	}
 	snap := s.g.Clone()
 	s.ctr.StallNanos += time.Since(start).Nanoseconds()
 	s.inflight = true
@@ -776,9 +579,6 @@ func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
 	epoch := snap.Epoch()
 	s.activeRuns++
 	go func() {
-		if s.cfg.Gate != nil {
-			defer s.cfg.Gate.release()
-		}
 		g2, st := s.compress(snap, core.Options{})
 		sizes, szErr := g2.ValSizes()
 		var refs *update.Refs
@@ -787,7 +587,6 @@ func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
 		}
 		s.completeAsync(gen, epoch, g2, st, sizes, refs, szErr)
 	}()
-	return true
 }
 
 // completeAsync is the swap protocol: called from the background
@@ -863,7 +662,6 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 	// pinned on the pre-swap grammar keep deriving the old state —
 	// that grammar is frozen and untouched forever.
 	s.publishLocked()
-	s.resetCostBaselineLocked()
 	s.ctr.Recompressions++
 	s.ctr.AsyncRecompressions++
 	// The policy baseline is what actually went live — including any
@@ -905,14 +703,8 @@ func (s *Store) gcLocked() {
 // recompressLocked runs GrammarRePair synchronously under the write
 // lock, swaps in the result, invalidates the size-vector cache, and lets
 // the trigger ratio adapt to the payoff.
-func (s *Store) recompressLocked(foldFirst bool) *core.Stats {
+func (s *Store) recompressLocked() *core.Stats {
 	start := time.Now()
-	// Fold-first: shrink the compressor's input before the O(|G|) pass.
-	// The payoff measurement below uses the post-fold size, so the
-	// trigger tuning sees only what GrammarRePair itself achieved.
-	if foldFirst {
-		s.foldFirstLocked()
-	}
 	before := s.cache.GrammarSize(s.g)
 	g2, st := s.compress(s.g, core.Options{})
 	s.g = g2
@@ -931,7 +723,6 @@ func (s *Store) recompressLocked(foldFirst bool) *core.Stats {
 	// to re-grow, and seeding here eagerly would bill every
 	// recompression for an index only readers need.
 	s.publishLocked()
-	s.resetCostBaselineLocked()
 	s.ctr.Recompressions++
 	s.lastCompressed = s.cache.GrammarSize(g2)
 	if st.MaxIntermediate > s.peakSize {
@@ -950,7 +741,7 @@ func (s *Store) Recompress() *core.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gcLocked()
-	return s.recompressLocked(false)
+	return s.recompressLocked()
 }
 
 // Wait blocks until no asynchronous recompression is in flight

@@ -435,8 +435,16 @@ func TestUsageCache(t *testing.T) {
 // TestCountersAddCoversEveryField fills every Counters field with a
 // distinct value and requires two adds onto a zero value to double each
 // one, so a counter added to Counters cannot be dropped from (or
-// assigned instead of summed into) the fleet totals.
+// assigned instead of summed into) the fleet totals. The deprecated
+// fields, kept only for the benchmark that still reads them, must stay
+// 0: nothing writes them.
 func TestCountersAddCoversEveryField(t *testing.T) {
+	deprecated := map[string]bool{
+		"CostRecompressions":     true,
+		"DeferredRecompressions": true,
+		"Refolds":                true,
+		"RefoldedNodes":          true,
+	}
 	var in Counters
 	v := reflect.ValueOf(&in).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -450,8 +458,13 @@ func TestCountersAddCoversEveryField(t *testing.T) {
 	got.add(in)
 	g := reflect.ValueOf(got)
 	for i := 0; i < g.NumField(); i++ {
-		if want := 2 * int64(i+1); g.Field(i).Int() != want {
-			t.Errorf("Counters.%s = %d after two adds, want %d", g.Type().Field(i).Name, g.Field(i).Int(), want)
+		name := g.Type().Field(i).Name
+		want := 2 * int64(i+1)
+		if deprecated[name] {
+			want = 0
+		}
+		if g.Field(i).Int() != want {
+			t.Errorf("Counters.%s = %d after two adds, want %d", name, g.Field(i).Int(), want)
 		}
 	}
 }

@@ -64,7 +64,6 @@ func (r *Refs) addRule(g *grammar.Grammar, rule *grammar.Rule) {
 		r.start = nodes - 1
 		return
 	}
-	r.body = grammar.GrowTo(r.body, int(rule.ID)+1)
 	r.body[rule.ID] = ruleBody{lo: int32(lo), n: int32(len(r.calls) - lo), edges: int32(nodes - 1)}
 	r.rest += nodes - 1
 }
@@ -75,7 +74,6 @@ func (r *Refs) walkBody(n *xmltree.Node) int {
 	nodes := 1
 	if n.Label.Kind == xmltree.Nonterminal {
 		id := n.Label.ID
-		r.count = grammar.GrowTo(r.count, int(id)+1)
 		r.count[id]++
 		r.calls = append(r.calls, id)
 	}
@@ -155,20 +153,6 @@ func (r *Refs) collect(g *grammar.Grammar, sizes *grammar.SizeTable) int {
 		removed++
 	}
 	return removed
-}
-
-// fold accounts for a rule minted from start-rule material (a re-fold):
-// the body moved out of the start rule, so its calls keep their counts,
-// and one call to the new rule took its place.
-func (r *Refs) fold(g *grammar.Grammar, rule *grammar.Rule) {
-	r.addRule(g, rule)
-	b := r.body[rule.ID]
-	for _, c := range r.calls[b.lo : b.lo+b.n] {
-		r.count[c]--
-	}
-	r.count = grammar.GrowTo(r.count, int(rule.ID)+1)
-	r.count[rule.ID] = 1
-	r.start += 1 - int(b.edges)
 }
 
 // Verify recounts g from scratch and reports the first difference from

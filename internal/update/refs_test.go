@@ -44,8 +44,7 @@ func collectAndCheck(t testing.TB, g *grammar.Grammar, c *update.Cache, when str
 // ApplyCached on corpus grammars and checks the cache's reference
 // counts, pending-collection list and |G| against a from-scratch
 // recount after every op; batches of random length end with a
-// collection that must match GarbageCollect on a clone, and re-folds
-// between batches mint rules the counts must absorb.
+// collection that must match GarbageCollect on a clone.
 func TestRefsMatchRecount(t *testing.T) {
 	for _, short := range []string{"EW", "XM", "TB", "MD"} {
 		for _, naive := range []bool{false, true} {
@@ -58,7 +57,7 @@ func TestRefsMatchRecount(t *testing.T) {
 				g, _ := treerepair.Compress(seq.Seed, treerepair.Options{})
 				cache := update.Cache{Naive: naive}
 				rng := rand.New(rand.NewSource(7))
-				folds, collected := 0, 0
+				collected := 0
 				for i := 0; i < len(seq.Ops); {
 					for n := 1 + rng.Intn(12); n > 0 && i < len(seq.Ops); n, i = n-1, i+1 {
 						if err := update.ApplyCached(g, seq.Ops[i], &cache); err != nil {
@@ -71,19 +70,9 @@ func TestRefsMatchRecount(t *testing.T) {
 					before := g.NumRules()
 					collectAndCheck(t, g, &cache, fmt.Sprintf("batch ending at op %d", i))
 					collected += before - g.NumRules()
-					if !naive && rng.Intn(3) == 0 {
-						f, _ := cache.Refold(g, 4, 1<<30)
-						folds += f
-						if err := cache.Verify(g); err != nil {
-							t.Fatalf("after refold at op %d: %v", i, err)
-						}
-					}
 				}
 				if collected == 0 {
 					t.Fatal("no op stranded a rule: the stream does not exercise collection")
-				}
-				if !naive && folds == 0 {
-					t.Fatal("no re-fold minted a rule")
 				}
 				if err := g.Validate(); err != nil {
 					t.Fatal(err)
@@ -212,10 +201,6 @@ func FuzzApplyRefs(f *testing.F) {
 			if i%4 == 3 {
 				collectAndCheck(t, g, &cache, fmt.Sprintf("after op %d", i))
 			}
-		}
-		cache.Refold(g, 0, 1<<30)
-		if err := cache.Verify(g); err != nil {
-			t.Fatalf("after refold: %v", err)
 		}
 		collectAndCheck(t, g, &cache, "end")
 		if err := g.Validate(); err != nil {

@@ -61,8 +61,8 @@ func (k Kind) String() string {
 // delete drops, and every edge the start rule gains or loses, so |G| is
 // exact without a walk and Collect deletes the rules an op stranded
 // without a reachability sweep. The cache must be invalidated whenever
-// any non-start rule changes other than through Refold — in practice,
-// after recompression (which builds a new grammar anyway).
+// any non-start rule changes — in practice, after recompression (which
+// builds a new grammar anyway).
 //
 // The memo the cache owns is more than the subtree-size store: it also
 // carries the persistent isolation frontier (internal/isolate's spine
@@ -167,7 +167,8 @@ func (c *Cache) Install(sizes *grammar.SizeTable, refs *Refs) {
 // table is copied (its start vector is mutated in place per op, and the
 // original stays with whoever holds the old grammar), and the memo is
 // retired — its spine index holds node pointers into the old grammar,
-// and a later Refold would splice those foreign nodes into the clone.
+// and descents edit through those pointers, so they would mutate the
+// old grammar's nodes instead of the clone's.
 func (c *Cache) MoveTo(clone *grammar.Grammar) {
 	if c.sizes != nil {
 		c.sizes = c.sizes.Snapshot(clone.Start)
@@ -303,27 +304,6 @@ func ApplyCached(g *grammar.Grammar, op Op, c *Cache) error {
 		return c.adjustStartTotal(g, -removed)
 	}
 	return fmt.Errorf("update: unknown op kind %v", op.Kind)
-}
-
-// Refold runs one bounded incremental re-folding pass (see
-// isolate.Memo.Refold): spine segments no op has touched for coldOps
-// operations are folded back into fresh rank-1 rules, shrinking the
-// explicit start RHS without a recompression. The cache stays warm —
-// the new rules' size vectors are known exactly from the folded
-// weights, and their counts from one walk of each folded body — and the
-// derived document is untouched, so no epoch bump. Returns the number
-// of rules minted (one per contiguous cold run) and the spine entries
-// those folds absorbed.
-func (c *Cache) Refold(g *grammar.Grammar, coldOps int64, maxChunks int) (folds, entries int) {
-	if c.memo == nil || c.sizes == nil {
-		return 0, 0
-	}
-	first := g.MaxRuleID()
-	folds, entries = c.memo.Refold(g, c.sizes, isolate.RefoldOptions{MinAge: coldOps, MaxChunks: maxChunks})
-	for id := first; id < g.MaxRuleID(); id++ {
-		c.refs.fold(g, g.Rule(id))
-	}
-	return folds, entries
 }
 
 // Memo exposes the live isolation memo (nil when naive or not yet

@@ -101,7 +101,7 @@ type (
 	// ShardedStore, the fleet's resident-memory tier.
 	StoreConfig = store.Config
 	// StoreStats is a snapshot of a Store: its embedded Counters (ops,
-	// batches, recompressions, stalls, GC, caches, isolation, re-folds,
+	// batches, recompressions, stalls, GC, caches, isolation,
 	// WAL, snapshots, recovery) plus gauges such as |G| and the
 	// resident bytes.
 	StoreStats = store.Stats
